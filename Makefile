@@ -1,4 +1,5 @@
-# make check is the CI gate: vet, build, tests, the race detector (the
+# make check is the CI gate: vet, build (including the perfbench
+# benchmark module), tests, the race detector (the
 # harness worker pool is real host-side concurrency), the fast-path,
 # policy, and fault A/B identity tests, a short fuzz pass over the wire
 # codec and the fault-plan parser, a quick parallel smoke run of the
@@ -18,9 +19,9 @@ BENCH_CURRENT  := BENCH_2026-08-06-fault.json
 BENCH_SHARDS   := BENCH_2026-08-08-shards.json
 BENCH_RECOVERY := BENCH_2026-08-08-recovery.json
 
-.PHONY: check lint vet simvet build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-gate bench bench-json
+.PHONY: check lint vet simvet build perfbench-check test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-gate bench bench-json
 
-check: lint build test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke
+check: lint build perfbench-check test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke
 	@echo "check: all green"
 
 # lint is go vet plus simvet, the repo's own determinism/purity analyzer
@@ -37,6 +38,13 @@ simvet:
 
 build:
 	$(GO) build ./...
+
+# perfbench-check vets and builds the benchmark program. perfbench/ is a
+# module of its own, so `go build ./...` never compiles it, and an API
+# change in internal/ could otherwise break the benchmark unnoticed.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -62,7 +70,8 @@ shard-identity:
 	$(GO) test ./internal/sim/ -run 'Cluster|CrossSend' -count=1
 	$(GO) test ./internal/apps/countnet/ -run TestCluster -count=1
 	$(GO) test ./internal/harness/ -run 'TestShardCountIdentity|TestShardScaleIdentity' -count=1
-	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ ./internal/apps/countnet/ -run 'Cluster|Shard' -count=1
+	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ -count=1
+	GOMAXPROCS=4 $(GO) test -race ./internal/apps/countnet/ -run 'Cluster|Shard' -count=1
 	@echo "shard-identity: rendered output is byte-identical at every shard count"
 
 # fuzz-smoke runs the msg codec and fault-plan parser fuzz targets

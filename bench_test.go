@@ -218,7 +218,7 @@ func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
 // BenchmarkSuiteEngineSleep measures the simulator's uncontended
 // sleep path: a single thread sleeping repeatedly, which the engine can
 // satisfy by fast-advancing the clock with no event allocation or
-// channel handoff.
+// coroutine switch.
 func BenchmarkSuiteEngineSleep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -236,7 +236,7 @@ func BenchmarkSuiteEngineSleep(b *testing.B) {
 
 // BenchmarkSuiteEngineContendedSleep measures the event-heap slow path:
 // two threads whose sleeps always interleave, so every wakeup goes
-// through a (pooled) event and the park/resume handoff.
+// through a (pooled) event and a park/resume coroutine switch.
 func BenchmarkSuiteEngineContendedSleep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,9 +8,8 @@ import (
 // NoDeterminism enforces the DESIGN.md contract that simulation-charged
 // code has no nondeterministic inputs: host clocks, ambient environment,
 // unseeded randomness, and host concurrency primitives are all forbidden.
-// The engine's coroutine handoff channels are deliberately NOT flagged —
-// channel operations are how the single-runner discipline is implemented
-// — but the goroutine spawns that create them are, so each spawn site
+// Channel operations are not flagged (the sharded engine's lane barrier
+// is built from them), but goroutine spawns are, so each spawn site
 // carries an explicit //simvet:allow justification.
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",

@@ -418,3 +418,18 @@ func TestOMPullsNodesAround(t *testing.T) {
 			r.Throughput, cm.Throughput)
 	}
 }
+
+// TestObjMigrationSeed11Finishes pins the object-migration livelock fix
+// on the B-tree: at seed 11 the hot upper nodes were stolen in flight,
+// before their pullers touched them, once an obj-move transit outlasted
+// a pin started at departure. The run must now finish well inside a
+// bounded number of events (it needs about 8k).
+func TestObjMigrationSeed11Finishes(t *testing.T) {
+	r := RunExperiment(Config{
+		Seed: 11, Scheme: core.Scheme{Mechanism: core.ObjMigrate},
+		MaxEvents: 1_000_000,
+	})
+	if r.Ops == 0 || r.ObjectMoves == 0 {
+		t.Fatalf("ops=%d moves=%d, want both nonzero", r.Ops, r.ObjectMoves)
+	}
+}

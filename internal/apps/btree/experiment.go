@@ -71,6 +71,10 @@ type Config struct {
 	// all contend on the same objects and the sharded engine's
 	// state-partitioning precondition does not hold.
 	Shards int
+	// MaxEvents, when nonzero, bounds the events the serial engine
+	// processes (sim.Engine.MaxEvents): a run that would exceed it
+	// panics ("did not quiesce") instead of running on.
+	MaxEvents uint64
 }
 
 // WithDefaults fills unset fields with the paper's parameters.
@@ -148,6 +152,7 @@ type Result struct {
 func RunExperiment(cfg Config) Result {
 	cfg = cfg.WithDefaults()
 	eng := sim.NewEngine(cfg.Seed)
+	eng.MaxEvents = cfg.MaxEvents
 	var tracer *sim.Tracer
 	if cfg.TraceCap > 0 {
 		tracer = eng.EnableTrace(cfg.TraceCap)

@@ -319,3 +319,19 @@ func TestMeshExperimentRuns(t *testing.T) {
 		t.Fatal("mesh run completed no ops")
 	}
 }
+
+// TestObjMigrationSeed11Finishes pins the object-migration livelock
+// fix: with 64 requesters an obj-move transit outlasts the pin window,
+// and a pin started at departure let each object be stolen in flight
+// before its puller touched it, so pulls retried forever. The run must
+// now finish well inside a bounded number of events (it needs about
+// 47k).
+func TestObjMigrationSeed11Finishes(t *testing.T) {
+	r := RunExperiment(Config{
+		Threads: 64, Seed: 11, Scheme: core.Scheme{Mechanism: core.ObjMigrate},
+		MaxEvents: 1_000_000,
+	})
+	if r.Ops == 0 || r.ObjectMoves == 0 {
+		t.Fatalf("ops=%d moves=%d, want both nonzero", r.Ops, r.ObjectMoves)
+	}
+}

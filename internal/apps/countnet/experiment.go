@@ -66,6 +66,10 @@ type Config struct {
 	// faults, tracing, shared-memory or object-migration schemes,
 	// replication — silently fall back to the serial engine.
 	Shards int
+	// MaxEvents, when nonzero, bounds the events the serial engine
+	// processes (sim.Engine.MaxEvents): a run that would exceed it
+	// panics ("did not quiesce") instead of running on.
+	MaxEvents uint64
 }
 
 // WithDefaults fills unset fields with the paper's parameters.
@@ -152,6 +156,7 @@ func RunExperiment(cfg Config) Result {
 			cfg.Shards, cfg.ineligibleReason())
 	}
 	eng := sim.NewEngine(cfg.Seed)
+	eng.MaxEvents = cfg.MaxEvents
 	var tracer *sim.Tracer
 	if cfg.TraceCap > 0 {
 		tracer = eng.EnableTrace(cfg.TraceCap)

@@ -4,6 +4,7 @@ import (
 	"compmig/internal/gid"
 	"compmig/internal/msg"
 	"compmig/internal/network"
+	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
 
@@ -89,10 +90,10 @@ func (t *Task) PullObject(g gid.GID, stateWords uint64) error {
 
 // deliverFetch handles an object-fetch at (what the sender believed was)
 // the object's home: forward if the object moved on, wait out the pin
-// window if the object just arrived (Emerald pins an object while an
-// invocation runs on it, which also prevents two pullers live-locking by
-// stealing it back and forth before either touches it), and otherwise
-// ship the object's state to the requester.
+// if the object is in transit or just arrived (Emerald pins an object
+// while an invocation runs on it, which also prevents two pullers
+// live-locking by stealing it back and forth before either touches it),
+// and otherwise ship the object's state to the requester.
 func (rt *Runtime) deliverFetch(m *network.Message) {
 	r := msg.NewReader(m.Payload)
 	g := gid.GID(r.U64())
@@ -104,6 +105,10 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 		rt.forward(m, actual, rt.deliverFetch)
 		return
 	}
+	if tr := rt.moving[g]; tr != nil {
+		tr.waiting = append(tr.waiting, m)
+		return
+	}
 	if until, pinned := rt.pins[g]; pinned && until > rt.Eng.Now() {
 		rt.Eng.Schedule(until-rt.Eng.Now(), func() { rt.deliverFetch(m) })
 		return
@@ -113,9 +118,16 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 	overhead := rt.chargeRecv(words, true)
 	here.ExecAsync(overhead, func() {
 		// Move now: accesses racing in behind us forward to the new home.
-		// The object arrives pinned so its new holder gets to use it.
+		// The object is pinned for PinCycles and for as long as it is in
+		// transit, so its new holder gets to use it.
 		rt.Objects.Move(g, requester)
 		rt.pins[g] = rt.Eng.Now() + rt.PinCycles
+		tr := rt.moving[g]
+		if tr == nil {
+			tr = &transit{}
+			rt.moving[g] = tr
+		}
+		tr.inFlight++
 		w := msg.NewWriter(int(stateWords) + 3)
 		w.PutU32(replyID)
 		w.PutU64(uint64(g))
@@ -131,14 +143,40 @@ func (rt *Runtime) deliverFetch(m *network.Message) {
 	})
 }
 
+// transit tracks an object whose state is on the wire: the obj-move
+// messages in flight (two fetches accepted in the same receive window
+// both ship it) and the fetches that reached it meanwhile.
+type transit struct {
+	inFlight int
+	waiting  []*network.Message
+}
+
 // deliverObject installs a moved object at its new home and wakes the
-// puller.
+// puller. When the last obj-move in flight lands, the fetches that
+// reached the object in transit retry once the pin expires, in arrival
+// order, and never before the woken puller has run. An obj-move transit
+// can outlast PinCycles; without the transit pin the next puller could
+// take the object in flight, before its holder touched it, and pullers
+// could livelock.
 func (rt *Runtime) deliverObject(m *network.Message) {
 	words := uint64(len(m.Payload)) + network.HeaderWords
 	overhead := rt.chargeRecvReply(words)
 	rt.Mach.Proc(m.Dst).ExecAsync(overhead, func() {
 		r := msg.NewReader(m.Payload)
 		id := r.U32()
+		g := gid.GID(r.U64())
 		rt.completeReply(id, nil)
+		tr := rt.moving[g]
+		if tr.inFlight--; tr.inFlight > 0 {
+			return
+		}
+		delete(rt.moving, g)
+		var wait sim.Time
+		if until := rt.pins[g]; until > rt.Eng.Now() {
+			wait = until - rt.Eng.Now()
+		}
+		for _, fm := range tr.waiting {
+			rt.Eng.Schedule(wait, func() { rt.deliverFetch(fm) })
+		}
 	})
 }

@@ -184,7 +184,9 @@ type Runtime struct {
 	// pins holds per-object pin deadlines: a freshly moved object cannot
 	// be fetched away again until its pin expires, so its new holder is
 	// guaranteed to get its access in (Emerald-style invocation pinning).
-	pins map[gid.GID]sim.Time
+	// moving holds the objects in transit (see deliverObject).
+	pins   map[gid.GID]sim.Time
+	moving map[gid.GID]*transit
 	// PinCycles is the pin window applied after each object move.
 	PinCycles sim.Time
 
@@ -216,6 +218,7 @@ func New(eng *sim.Engine, mach *sim.Machine, net *network.Network, col *stats.Co
 		residuals: make(map[uint32]*residualEntry),
 		locHints:  make([]map[gid.GID]int, mach.N()),
 		pins:      make(map[gid.GID]sim.Time),
+		moving:    make(map[gid.GID]*transit),
 		PinCycles: 200,
 	}
 }

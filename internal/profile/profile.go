@@ -61,8 +61,8 @@ func (s *Section) TimeNs() func() {
 }
 
 // The profiled sections. Mem counts are line-granularity accesses; the
-// slow-path timing is inclusive — under the engine's direct-handoff
-// dispatch a blocked access pumps other events on its own goroutine, so
+// slow-path timing is inclusive — a blocked access's timer keeps running
+// while its thread is parked and the dispatch loop runs other events, so
 // overlapping slow accesses double-count wall time. Use the counts for
 // exact attribution and the timings for relative weight.
 var (

@@ -1,18 +1,15 @@
 // Package sim implements a deterministic discrete-event simulator with
-// coroutine-style simulated threads, in the spirit of the Proteus
+// coroutine simulated threads, in the spirit of the Proteus
 // parallel-architecture simulator used by the paper.
 //
-// The engine owns a virtual clock measured in processor cycles. Simulated
-// threads are real goroutines, but exactly one of them runs at any moment.
-// Control is passed by direct handoff: the goroutine that pops an event
-// dispatches it in place, and only when the event is another thread's
-// wakeup does control move (over that thread's resume channel). A waiting
-// thread therefore drives the event loop itself — it pops and runs
-// protocol callbacks inline and parts with its host goroutine only to run
-// a different simulated thread. All simulation state is still mutated by
-// at most one goroutine at a time, and the event heap is ordered by
-// (time, sequence number), so a given program and seed always produce the
-// same execution regardless of which goroutine happens to be driving.
+// The engine owns a virtual clock measured in processor cycles and one
+// dispatch loop that pops events in (time, sequence number) order. A
+// plain event's callback runs inside the loop; a thread wakeup resumes
+// that thread, an iter.Pull coroutine, which runs until it blocks or
+// exits and then yields back to the loop. Only the loop resumes
+// threads, so exactly one of them runs at any moment, all simulation
+// state is mutated by one host goroutine at a time, and a given program
+// and seed always produce the same execution.
 package sim
 
 import (
@@ -75,12 +72,11 @@ type Engine struct {
 	pool []*Event // free list of fired/cancelled events, for reuse by At
 
 	current *Thread
-	handoff chan struct{} // a driving thread signals here to return control to Run
 
 	liveThreads int
 	allThreads  map[*Thread]struct{}
 	nextTID     int
-	threadPool  []*Thread // exited threads (goroutine parked in loop), for reuse by Spawn
+	threadPool  []*Thread // exited threads (coroutine suspended in loop), for reuse by Spawn
 
 	rng     *PRNG
 	stopped bool
@@ -94,9 +90,8 @@ type Engine struct {
 	lane      int
 	curStream int32
 
-	// limited/runLimit are set while RunUntil is draining events, so
-	// neither a driving thread nor the fast path can advance the clock
-	// past the limit.
+	// limited/runLimit are set while RunUntil is draining events, so the
+	// fast path cannot advance the clock past the limit.
 	limited  bool
 	runLimit Time
 
@@ -110,7 +105,6 @@ type Engine struct {
 // seeded with seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		handoff:    make(chan struct{}),
 		allThreads: make(map[*Thread]struct{}),
 		rng:        NewPRNG(seed),
 	}
@@ -148,8 +142,8 @@ func (e *Engine) ScheduleOn(delay Time, proc int, fn func()) *Event {
 }
 
 // scheduleWake queues a wakeup for th at absolute time at. Wakeups are
-// tagged with the thread rather than wrapped in a closure so dispatchers
-// can hand control over directly.
+// tagged with the thread rather than wrapped in a closure so dispatch
+// can resume it directly.
 func (e *Engine) scheduleWake(at Time, th *Thread) *Event {
 	return e.schedule(at, nil, th)
 }
@@ -224,9 +218,8 @@ func (m *MaxEventsError) Error() string {
 	return fmt.Sprintf("sim: exceeded MaxEvents=%d at cycle %d", m.Max, m.Now)
 }
 
-// dispatch processes one popped event in the caller's goroutine: a plain
-// event runs its callback in place; a thread wakeup hands control to the
-// thread and blocks until some driver returns control over e.handoff.
+// dispatch processes one popped event: a plain event runs its callback
+// in place; a thread wakeup resumes the thread until it parks or exits.
 func (e *Engine) dispatch(ev *Event) {
 	if ev.at < e.now {
 		panic("sim: event heap time went backwards")
@@ -239,8 +232,7 @@ func (e *Engine) dispatch(ev *Event) {
 	if th := ev.th; th != nil {
 		e.release(ev)
 		e.current = th
-		th.resume <- struct{}{}
-		<-e.handoff
+		th.next()
 		return
 	}
 	fn := ev.fn
@@ -311,7 +303,7 @@ func (e *Engine) runWindow(limit Time) error {
 
 // fastAdvance reports whether the clock can jump straight to at without
 // dispatching any other event, and performs the jump when it can. A
-// running thread uses this to skip the schedule-pump round trip entirely
+// running thread uses this to skip the park/resume round trip entirely
 // when its own wakeup would be the very next event processed: the
 // observable execution order is exactly the slow path's.
 func (e *Engine) fastAdvance(at Time) bool {
@@ -338,13 +330,18 @@ func (e *Engine) fastAdvance(at Time) bool {
 // would have happened inside that window may be applied immediately.
 func (e *Engine) TryAdvance(at Time) bool { return e.fastAdvance(at) }
 
-// drainThreadPool terminates the goroutines of pooled (exited) threads.
-// Run calls it on exit so an abandoned engine does not pin parked
-// goroutines; a pooled thread has no pending body, so the bare wakeup
-// makes its loop return without a handoff.
+// drainThreadPool hands the engine's pooled (exited) threads to
+// idleThreads for other engines to reuse, and ends the coroutines of
+// those that do not fit. Run calls it on exit so an abandoned engine
+// neither pins suspended goroutines nor is pinned by them.
 func (e *Engine) drainThreadPool() {
 	for i, th := range e.threadPool {
-		th.resume <- struct{}{}
+		th.eng, th.scratch = nil, Future{}
+		select {
+		case idleThreads <- th:
+		default:
+			th.stop()
+		}
 		e.threadPool[i] = nil
 	}
 	e.threadPool = e.threadPool[:0]

@@ -1,24 +1,42 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to go1.23,
+// which iter.Pull needs, while go.mod stays at go 1.22: raising the
+// module's go line would force the same raise on the analysis fixture
+// module and on the perfbench module.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Thread is a simulated lightweight thread (in the sense of a threads
 // package, per the paper's footnote 1 — heavier than TAM threads). Each
-// Thread is backed by a goroutine, but the engine guarantees only one runs
-// at a time, so thread bodies may freely touch shared simulation state.
+// Thread is an iter.Pull coroutine that only the engine's dispatch loop
+// resumes, and blocking is a yield back to that loop, so exactly one
+// thread runs at a time and thread bodies may freely touch shared
+// simulation state.
 //
-// Thread objects (and their goroutines) are pooled: once a body returns,
+// Thread objects (and their coroutines) are pooled: once a body returns,
 // the engine recycles the thread for a later Spawn. Retain the handle
 // only while the thread is live; an exited thread's object may already
 // be running an unrelated body.
 type Thread struct {
-	eng    *Engine
-	id     int
-	name   string
-	body   func(*Thread) // pending body; nil tells loop to terminate
-	resume chan struct{}
-	state  threadState
-	where  string // description of the blocking site, for deadlock reports
+	eng   *Engine
+	id    int
+	name  string
+	body  func(*Thread) // body to run when the spawned thread is first resumed
+	state threadState
+	where string // description of the blocking site, for deadlock reports
+
+	// next resumes the coroutine until its next park or exit; yield, held
+	// by the coroutine itself, suspends it back into next's caller; stop
+	// ends a pooled coroutine for good.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// stream is the event stream the thread's wakeups execute as: the
 	// processor the thread is bound to on a clustered engine (set by
@@ -55,53 +73,56 @@ func (e *Engine) spawnAt(name string, delay Time, body func(*Thread), stream int
 		th = e.threadPool[n-1]
 		e.threadPool[n-1] = nil
 		e.threadPool = e.threadPool[:n-1]
-		th.id, th.name, th.body = e.nextTID, name, body
-		th.state, th.where = threadRunnable, ""
-		th.stream = stream
 	} else {
-		th = &Thread{
-			eng:    e,
-			id:     e.nextTID,
-			name:   name,
-			body:   body,
-			resume: make(chan struct{}),
-			stream: stream,
+		select {
+		case th = <-idleThreads:
+			th.eng = e
+		default:
+			th = &Thread{eng: e}
+			th.next, th.stop = iter.Pull(th.loop)
 		}
-		// The goroutine is the coroutine substrate itself: the engine's
-		// single-runner handoff (resume/handoff channels) guarantees at
-		// most one simulated thread executes at a time, so spawning here
-		// cannot introduce scheduling nondeterminism (see package doc).
-		go th.loop() //simvet:allow coroutine substrate; single-runner handoff keeps execution deterministic
 	}
+	th.id, th.name, th.body = e.nextTID, name, body
+	th.state, th.where = threadRunnable, ""
+	th.stream = stream
 	e.liveThreads++
 	e.allThreads[th] = struct{}{}
 	e.scheduleWake(e.now+delay, th)
 	return th
 }
 
-// loop is the goroutine behind a Thread for its whole pooled lifetime:
-// run the pending body, retire into the pool, block until the engine
-// hands it a new body, repeat. A wakeup with no pending body is the
-// engine's drain signal and terminates the goroutine.
-func (th *Thread) loop() {
+// idleThreads holds retired threads, coroutines included, that any
+// engine's Spawn may reuse once the engine that ran them has returned.
+// Engines come and go by the thousand in a sweep, and with go1.24's race
+// detector an ended coroutine never frees its race state (about 5 KB
+// each), so reusing coroutines across engines keeps race-enabled test
+// runs from growing without bound. A channel hands threads between the
+// harness workers' goroutines race-free. The capacity covers the
+// largest sweep point (about 1,250 live threads in scale) on a few
+// workers at once; threads that do not fit are stopped.
+var idleThreads = make(chan *Thread, 4096)
+
+// loop is the coroutine behind a Thread for its whole pooled lifetime:
+// run the pending body, retire into the pool, yield until the engine
+// resumes it with a new body, repeat. A stopped yield is drainThreadPool
+// ending the coroutine.
+func (th *Thread) loop(yield func(struct{}) bool) {
+	th.yield = yield
 	for {
-		<-th.resume // wait for first dispatch of the current body
 		body := th.body
-		if body == nil {
-			return
-		}
 		th.body = nil
 		th.state = threadRunning
 		body(th)
 		th.exit()
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// exit retires the thread and hands control back to the engine. It
-// mirrors park's bookkeeping: the thread must be the engine's current
-// runner, and Engine.current is cleared rather than left pointing at a
-// dead thread during the handoff window. The object goes back to the
-// spawn pool; its goroutine survives in loop.
+// exit retires the thread: it must be the engine's current runner, and
+// Engine.current is cleared rather than left pointing at a dead thread.
+// The object goes back to the spawn pool; its coroutine survives in loop.
 func (th *Thread) exit() {
 	e := th.eng
 	if e.current != th {
@@ -113,7 +134,6 @@ func (th *Thread) exit() {
 	delete(e.allThreads, th)
 	e.threadPool = append(e.threadPool, th)
 	e.current = nil
-	e.handoff <- struct{}{}
 }
 
 // Engine returns the engine this thread belongs to.
@@ -141,18 +161,9 @@ func (th *Thread) ScratchFuture() *Future {
 	return &th.scratch
 }
 
-// park blocks the thread until some event resumes it. The caller must
-// have arranged for a wakeup.
-//
-// Rather than bouncing control back to the engine goroutine on every
-// block, the parking thread becomes the driver: it pumps events in place.
-// Plain callbacks run inline; its own wakeup lets it fall straight
-// through and keep running on the same goroutine; another thread's wakeup
-// hands control to that thread directly. The engine goroutine is involved
-// only when the loop must end (stop, empty heap, run limit, event bound).
-// Event order comes solely from the heap, so the execution is identical
-// to engine-driven dispatch — only the goroutine doing the popping
-// changes.
+// park blocks the thread until some event resumes it: it yields back to
+// the dispatch loop, which resumes it when its wakeup event pops. The
+// caller must have arranged for a wakeup.
 func (th *Thread) park(where string) {
 	e := th.eng
 	if e.current != th {
@@ -161,40 +172,7 @@ func (th *Thread) park(where string) {
 	th.state = threadParked
 	th.where = where
 	e.current = nil
-	for {
-		if e.stopped || len(e.heap) == 0 ||
-			(e.limited && e.heap[0].at > e.runLimit) ||
-			(e.MaxEvents != 0 && e.processed >= e.MaxEvents) {
-			// The engine loop must take back over: to return, to honor
-			// the run limit, or to report deadlock / the event bound.
-			e.handoff <- struct{}{}
-			<-th.resume
-			break
-		}
-		ev := e.heap.pop()
-		if ev.at < e.now {
-			panic("sim: event heap time went backwards")
-		}
-		e.now = ev.at
-		e.processed++
-		if e.cluster != nil {
-			e.curStream = ev.exec
-		}
-		if tw := ev.th; tw != nil {
-			e.release(ev)
-			if tw == th {
-				break // own wakeup: resume in place, no goroutine switch
-			}
-			e.current = tw
-			tw.resume <- struct{}{}
-			<-th.resume
-			break
-		}
-		fn := ev.fn
-		e.release(ev)
-		fn()
-	}
-	e.current = th
+	th.yield(struct{}{})
 	th.state = threadRunning
 	th.where = ""
 }
@@ -219,7 +197,7 @@ func (th *Thread) UnparkAt(delay Time) {
 // Sleep advances the thread's virtual time by d cycles without occupying
 // any processor (used for "think time" in the paper's workloads). When no
 // other event fires at or before the wakeup time, the thread advances the
-// clock itself and keeps running, skipping the park/resume handoff.
+// clock itself and keeps running, skipping the park/resume round trip.
 func (th *Thread) Sleep(d Time) {
 	if d == 0 {
 		return
