@@ -5,23 +5,20 @@
 # codec and the fault-plan parser, a quick parallel smoke run of the
 # full evaluation suite, a faulty smoke run with invariant checking, a
 # crash-recovery smoke run (WAL/checkpoint durability under wipe
-# faults), and a benchdiff smoke against the committed baseline report.
+# faults), a run of every example program, and a benchdiff smoke
+# against the committed baseline report.
 
 GO ?= go
 
 # Committed full-scale benchmark reports, oldest first; benchdiff-smoke
-# compares the two most recent. BENCH_SHARDS is the sharded-engine
-# report (shards=1 vs shards=N entries, carrying per-shard
-# synchronization counters); it matches no serial report's keys, so it
-# is smoked separately.
+# compares the two most recent.
 BENCH_BASELINE := BENCH_2026-08-06-policy.json
 BENCH_CURRENT  := BENCH_2026-08-06-fault.json
-BENCH_SHARDS   := BENCH_2026-08-08-shards.json
 BENCH_RECOVERY := BENCH_2026-08-08-recovery.json
 
-.PHONY: check lint vet simvet build perfbench-check test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-gate bench bench-json
+.PHONY: check lint vet simvet build perfbench-check test race ab-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke bench-gate bench bench-json
 
-check: lint build perfbench-check test race ab-identity shard-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke
+check: lint build perfbench-check test race ab-identity fuzz-smoke smoke kv-smoke fault-smoke recovery-smoke benchdiff-smoke
 	@echo "check: all green"
 
 # lint is go vet plus simvet, the repo's own determinism/purity analyzer
@@ -62,18 +59,6 @@ ab-identity:
 	$(GO) test ./internal/harness/ -run TestFaultZeroSpecIsByteIdentical -count=1
 	@echo "ab-identity: fast paths, static policies, and zero fault plans are observationally equivalent"
 
-# shard-identity pins the sharded event engine's determinism contract:
-# clustered runs render byte-identical output at every shard count (the
-# engine-level synthetic workload, the countnet application, and the
-# harness-rendered tables), and the parallel lane drivers are race-clean.
-shard-identity:
-	$(GO) test ./internal/sim/ -run 'Cluster|CrossSend' -count=1
-	$(GO) test ./internal/apps/countnet/ -run TestCluster -count=1
-	$(GO) test ./internal/harness/ -run 'TestShardCountIdentity|TestShardScaleIdentity' -count=1
-	GOMAXPROCS=4 $(GO) test -race ./internal/sim/ -count=1
-	GOMAXPROCS=4 $(GO) test -race ./internal/apps/countnet/ -run 'Cluster|Shard' -count=1
-	@echo "shard-identity: rendered output is byte-identical at every shard count"
-
 # fuzz-smoke runs the msg codec and fault-plan parser fuzz targets
 # briefly over their seed corpora plus fresh mutations; a decoding
 # panic or round-trip mismatch fails the build.
@@ -83,9 +68,13 @@ fuzz-smoke:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s
 	@echo "fuzz-smoke: msg codec and fault-plan parser survived fuzzing"
 
+# smoke also runs every example program to completion: a nonzero exit
+# (a panic or a failed self-check) fails the build.
 smoke:
 	$(GO) run ./cmd/paperfigs -exp all -quick -workers 4 > /dev/null
 	@echo "smoke: paperfigs -exp all -quick -workers 4 ok"
+	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
+	@echo "smoke: every example ran to completion"
 
 # kv-smoke drives the KV/session store end to end: the ext-kv sweep
 # (skew x heterogeneity x policy, invariant checkers run inside every
@@ -132,10 +121,8 @@ recovery-smoke:
 # simulator, so this gates only on the tool and report format working.
 benchdiff-smoke:
 	$(GO) run ./cmd/benchdiff $(BENCH_BASELINE) $(BENCH_CURRENT) > /dev/null
-	$(GO) run ./cmd/benchdiff $(BENCH_SHARDS) $(BENCH_SHARDS)
-	$(GO) run ./cmd/benchdiff $(BENCH_SHARDS) $(BENCH_SHARDS) | grep 'windows=' > /dev/null
 	$(GO) run ./cmd/benchdiff $(BENCH_RECOVERY) $(BENCH_RECOVERY) | grep 'wal appends=' > /dev/null
-	@echo "benchdiff-smoke: $(BENCH_BASELINE) vs $(BENCH_CURRENT) ok; $(BENCH_SHARDS) shard counters and $(BENCH_RECOVERY) WAL counters render"
+	@echo "benchdiff-smoke: $(BENCH_BASELINE) vs $(BENCH_CURRENT) ok; $(BENCH_RECOVERY) WAL counters render"
 
 # bench-gate regenerates a full-scale report from the working tree and
 # gates it against the committed $(BENCH_CURRENT) with a wall-clock
@@ -159,11 +146,6 @@ bench:
 # BENCH_CURRENT at it.
 bench-json:
 	$(GO) run ./cmd/paperfigs -exp all -workers 4 -bench-json BENCH_new.json
-
-# bench-json-shards regenerates the sharded-engine report: the scale
-# sweep at shards=1 vs shards=8 with per-shard synchronization counters.
-bench-json-shards:
-	$(GO) run ./cmd/paperfigs -exp scale -shards 8 -bench-json BENCH_new-shards.json
 
 # bench-json-recovery regenerates the durability report: the
 # ext-recovery sweep, whose entries carry the WAL/checkpoint/replay

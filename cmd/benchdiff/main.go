@@ -6,16 +6,11 @@
 //
 //	benchdiff [-threshold PCT] old.json new.json
 //
-// Entries are matched by (experiment, workers, shards). With -threshold
-// set, benchdiff exits 1 if any matched experiment's wall clock
-// regressed by more than PCT percent — suitable as a CI gate.
-// Wall-clock deltas on sub-millisecond entries are noise, so the gate
-// only considers entries whose baseline is at least 50 ms.
-//
-// Entries carrying sharded-engine counters (shards >= 1 runs) get a
-// second line comparing synchronization work: lookahead windows, events
-// processed, null windows (a lane synchronized but had nothing to run),
-// and cross-lane messages.
+// Entries are matched by (experiment, workers). With -threshold set,
+// benchdiff exits 1 if any matched experiment's wall clock regressed by
+// more than PCT percent — suitable as a CI gate. Wall-clock deltas on
+// sub-millisecond entries are noise, so the gate only considers entries
+// whose baseline is at least 50 ms.
 //
 // Entries carrying durability counters (runs with the per-processor WAL
 // on — today only ext-recovery) get a detail line comparing logging and
@@ -33,18 +28,13 @@ import (
 )
 
 type entry struct {
-	Experiment   string  `json:"experiment"`
-	Workers      int     `json:"workers"`
-	Shards       int     `json:"shards"`
-	WallMS       float64 `json:"wall_ms"`
-	Allocs       uint64  `json:"allocs"`
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	FastHits     uint64  `json:"fast_hits"`
-	SlowMisses   uint64  `json:"slow_misses"`
-	ShardWindows uint64  `json:"shard_windows"`
-	ShardEvents  uint64  `json:"shard_events"`
-	ShardNulls   uint64  `json:"shard_nulls"`
-	ShardCross   uint64  `json:"shard_cross"`
+	Experiment string  `json:"experiment"`
+	Workers    int     `json:"workers"`
+	WallMS     float64 `json:"wall_ms"`
+	Allocs     uint64  `json:"allocs"`
+	AllocBytes uint64  `json:"alloc_bytes"`
+	FastHits   uint64  `json:"fast_hits"`
+	SlowMisses uint64  `json:"slow_misses"`
 	// Durability counters: zero unless the experiment ran with the
 	// per-processor WAL on.
 	WalAppends      uint64 `json:"wal_appends"`
@@ -97,24 +87,22 @@ func main() {
 	type key struct {
 		exp     string
 		workers int
-		shards  int
 	}
 	oldBy := make(map[key]entry, len(oldRep.Experiments))
 	for _, e := range oldRep.Experiments {
-		oldBy[key{e.Experiment, e.Workers, e.Shards}] = e
+		oldBy[key{e.Experiment, e.Workers}] = e
 	}
 
-	fmt.Printf("%-12s %3s %3s  %10s %10s %8s  %12s %8s\n",
-		"experiment", "w", "s", "old ms", "new ms", "wall", "new allocs", "allocs")
+	fmt.Printf("%-12s %3s  %10s %10s %8s  %12s %8s\n",
+		"experiment", "w", "old ms", "new ms", "wall", "new allocs", "allocs")
 	regressed := false
 	matched := 0
 	for _, n := range newRep.Experiments {
-		k := key{n.Experiment, n.Workers, n.Shards}
+		k := key{n.Experiment, n.Workers}
 		o, ok := oldBy[k]
 		if !ok {
-			fmt.Printf("%-12s %3d %3d  %10s %10.1f %8s  %12d %8s\n",
-				n.Experiment, n.Workers, n.Shards, "-", n.WallMS, "new", n.Allocs, "new")
-			printShardCounters(n)
+			fmt.Printf("%-12s %3d  %10s %10.1f %8s  %12d %8s\n",
+				n.Experiment, n.Workers, "-", n.WallMS, "new", n.Allocs, "new")
 			printDurability(entry{}, n)
 			printLatency(entry{}, n)
 			continue
@@ -123,19 +111,18 @@ func main() {
 		delete(oldBy, k)
 		wallPct := pctDelta(o.WallMS, n.WallMS)
 		allocPct := pctDelta(float64(o.Allocs), float64(n.Allocs))
-		fmt.Printf("%-12s %3d %3d  %10.1f %10.1f %+7.1f%%  %12d %+7.1f%%\n",
-			n.Experiment, n.Workers, n.Shards, o.WallMS, n.WallMS, wallPct, n.Allocs, allocPct)
-		printShardCounters(n)
+		fmt.Printf("%-12s %3d  %10.1f %10.1f %+7.1f%%  %12d %+7.1f%%\n",
+			n.Experiment, n.Workers, o.WallMS, n.WallMS, wallPct, n.Allocs, allocPct)
 		printDurability(o, n)
 		printLatency(o, n)
 		if *threshold > 0 && o.WallMS >= gateFloorMS && wallPct > *threshold {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s workers=%d shards=%d wall clock regressed %.1f%% (limit %.1f%%)\n",
-				n.Experiment, n.Workers, n.Shards, wallPct, *threshold)
+			fmt.Fprintf(os.Stderr, "benchdiff: %s workers=%d wall clock regressed %.1f%% (limit %.1f%%)\n",
+				n.Experiment, n.Workers, wallPct, *threshold)
 			regressed = true
 		}
 	}
 	for k := range oldBy {
-		fmt.Printf("%-12s %3d %3d  entry missing from new report\n", k.exp, k.workers, k.shards)
+		fmt.Printf("%-12s %3d  entry missing from new report\n", k.exp, k.workers)
 	}
 	if matched == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: no experiments in common")
@@ -144,20 +131,6 @@ func main() {
 	if regressed {
 		os.Exit(1)
 	}
-}
-
-// printShardCounters renders an entry's sharded-engine synchronization
-// counters on a detail line; serial entries (no windows) print nothing.
-func printShardCounters(e entry) {
-	if e.ShardWindows == 0 {
-		return
-	}
-	nullPct := 0.0
-	if lw := e.ShardWindows * uint64(e.Shards); lw > 0 {
-		nullPct = float64(e.ShardNulls) / float64(lw) * 100
-	}
-	fmt.Printf("%-12s      windows=%d events=%d nulls=%d (%.1f%% of lane-windows) cross=%d\n",
-		"", e.ShardWindows, e.ShardEvents, e.ShardNulls, nullPct, e.ShardCross)
 }
 
 // printDurability renders an entry's WAL/recovery counters on a detail

@@ -31,19 +31,19 @@ func writeReport(t *testing.T, dir, name, body string) string {
 }
 
 const oldReport = `{"quick":true,"experiments":[
- {"experiment":"fig1","workers":1,"shards":0,"wall_ms":100,"allocs":1000},
- {"experiment":"ext-recovery","workers":1,"shards":0,"wall_ms":200,"allocs":2000,
+ {"experiment":"fig1","workers":1,"wall_ms":100,"allocs":1000},
+ {"experiment":"ext-recovery","workers":1,"wall_ms":200,"allocs":2000,
   "wal_appends":5000,"checkpoint_bytes":4096,"replay_events":40,"recovery_cycles":90000}
 ]}`
 
 const newReport = `{"quick":true,"experiments":[
- {"experiment":"fig1","workers":1,"shards":0,"wall_ms":105,"allocs":1000},
- {"experiment":"ext-recovery","workers":1,"shards":0,"wall_ms":210,"allocs":2000,
+ {"experiment":"fig1","workers":1,"wall_ms":105,"allocs":1000},
+ {"experiment":"ext-recovery","workers":1,"wall_ms":210,"allocs":2000,
   "wal_appends":5200,"checkpoint_bytes":4096,"replay_events":44,"recovery_cycles":95000}
 ]}`
 
 const regressedReport = `{"quick":true,"experiments":[
- {"experiment":"fig1","workers":1,"shards":0,"wall_ms":200,"allocs":1000}
+ {"experiment":"fig1","workers":1,"wall_ms":200,"allocs":1000}
 ]}`
 
 // TestDriverExitCodes audits the exit-code contract: 0 = reports
@@ -62,7 +62,7 @@ func TestDriverExitCodes(t *testing.T) {
 	badPath := writeReport(t, dir, "bad.json", "{not json")
 	emptyPath := writeReport(t, dir, "empty.json", `{"experiments":[]}`)
 	otherPath := writeReport(t, dir, "other.json",
-		`{"experiments":[{"experiment":"table9","workers":1,"shards":0,"wall_ms":1}]}`)
+		`{"experiments":[{"experiment":"table9","workers":1,"wall_ms":1}]}`)
 
 	cases := []struct {
 		name string

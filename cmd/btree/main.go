@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"compmig/internal/apps/btree"
+	"compmig/internal/core"
 	"compmig/internal/harness"
 	"compmig/internal/policy"
 	"compmig/internal/sim"
@@ -35,15 +36,19 @@ func main() {
 	warmup := flag.Uint64("warmup", 20000, "warmup cycles before measuring")
 	measure := flag.Uint64("measure", 200000, "measurement window in cycles")
 	trace := flag.Int("trace", 0, "dump the last N simulation events to stderr")
-	shards := flag.Int("shards", 0, "accepted for parity with countnet; the B-tree always runs on the serial engine")
 	flag.Parse()
 
-	if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "btree: -shards %d ignored: every B-tree operation descends through the shared root, so the tree cannot be partitioned into independent lanes; running on the serial engine\n", *shards)
-	}
 	if *fanout <= 0 || *keys <= 0 || *procs <= 0 || *threads <= 0 {
 		fmt.Fprintf(os.Stderr, "btree: -fanout, -keys, -nodeprocs, and -threads must be positive (got %d, %d, %d, %d)\n",
 			*fanout, *keys, *procs, *threads)
+		os.Exit(2)
+	}
+	if *fanout < 2 {
+		fmt.Fprintf(os.Stderr, "btree: -fanout must be at least 2 (got %d)\n", *fanout)
+		os.Exit(2)
+	}
+	if *procs > core.MaxProcs-*threads {
+		fmt.Fprintf(os.Stderr, "btree: -nodeprocs %d with -threads %d needs more than %d processors\n", *procs, *threads, core.MaxProcs)
 		os.Exit(2)
 	}
 	if *lookup < 0 || *lookup > 1 {
@@ -78,7 +83,7 @@ func main() {
 		LookupFrac: *lookup, Scheme: scheme, Seed: *seed,
 		Warmup: sim.Time(*warmup), Measure: sim.Time(*measure),
 		TraceCap: *trace, Policy: *policySpec, Faults: faults,
-		Durable: *durable, Shards: *shards,
+		Durable: *durable,
 	})
 	if *policyStats != "" {
 		data, err := json.MarshalIndent(r.PolicyStats, "", "  ")

@@ -44,6 +44,9 @@ func TestDriverExitCodes(t *testing.T) {
 			[]string{"durability        appends:", "crash recovery    wipes:1", "invariants        ok"}},
 		{"bad lookups fraction", []string{"-lookups", "1.5"}, 2, []string{"fraction"}},
 		{"nonpositive fanout", []string{"-fanout", "0"}, 2, []string{"positive"}},
+		{"fanout below two", []string{"-fanout", "1"}, 2, []string{"at least 2"}},
+		{"too many processors", []string{"-threads", "100000"}, 2, []string{"4096 processors"}},
+		{"removed shards flag", []string{"-shards", "2"}, 2, []string{"-shards"}},
 		{"bad scheme", []string{"-scheme", "xyz"}, 2, nil},
 		{"bad faults", []string{"-faults", "ckpt=oops"}, 2, []string{"btree:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"btree:"}},

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"compmig/internal/apps/countnet"
+	"compmig/internal/core"
 	"compmig/internal/harness"
 	"compmig/internal/policy"
 	"compmig/internal/sim"
@@ -32,11 +33,21 @@ func main() {
 	warmup := flag.Uint64("warmup", 20000, "warmup cycles before measuring")
 	measure := flag.Uint64("measure", 200000, "measurement window in cycles")
 	trace := flag.Int("trace", 0, "dump the last N simulation events to stderr")
-	shards := flag.Int("shards", 0, "sharded event engines (0 = serial; CM/RPC schemes only, output identical for any N >= 1)")
 	flag.Parse()
 
 	if *width <= 0 || *threads <= 0 {
 		fmt.Fprintf(os.Stderr, "countnet: -width and -threads must be positive (got %d, %d)\n", *width, *threads)
+		os.Exit(2)
+	}
+	if *width < 2 || *width&(*width-1) != 0 {
+		fmt.Fprintf(os.Stderr, "countnet: -width must be a power of two >= 2 (got %d)\n", *width)
+		os.Exit(2)
+	}
+	// One processor per balancer plus one per requester, each numbered
+	// within the runtime's reply-linkage limit. The width bound comes
+	// first so Balancers cannot overflow.
+	if *width > core.MaxProcs || *threads > core.MaxProcs-countnet.Balancers(*width) {
+		fmt.Fprintf(os.Stderr, "countnet: -width %d with -threads %d needs more than %d processors\n", *width, *threads, core.MaxProcs)
 		os.Exit(2)
 	}
 	scheme, err := harness.ParseScheme(*schemeSpec)
@@ -63,7 +74,7 @@ func main() {
 		Width: *width, Threads: *threads, Think: *think, Scheme: scheme,
 		Seed: *seed, Warmup: sim.Time(*warmup), Measure: sim.Time(*measure),
 		TraceCap: *trace, Policy: *policySpec, Faults: faults,
-		Durable: *durable, Shards: *shards,
+		Durable: *durable,
 	})
 	if *policyStats != "" {
 		data, err := json.MarshalIndent(r.PolicyStats, "", "  ")

@@ -43,6 +43,10 @@ func TestDriverExitCodes(t *testing.T) {
 		{"wipe recovery", append([]string{"-faults", "wipe=p2@40000+5000,ckpt=10000,seed=7"}, smallRun...), 0,
 			[]string{"durability        appends:", "crash recovery    wipes:1", "invariants        ok"}},
 		{"nonpositive width", []string{"-width", "0"}, 2, []string{"positive"}},
+		{"width not a power of two", []string{"-width", "6"}, 2, []string{"power of two"}},
+		{"width below two", []string{"-width", "1"}, 2, []string{"power of two"}},
+		{"too many processors", []string{"-threads", "100000"}, 2, []string{"4096 processors"}},
+		{"removed shards flag", []string{"-shards", "2"}, 2, []string{"-shards"}},
 		{"bad scheme", []string{"-scheme", "xyz"}, 2, nil},
 		{"bad faults", []string{"-faults", "wipe=p2@oops"}, 2, []string{"countnet:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"countnet:"}},

@@ -51,6 +51,10 @@ func main() {
 			*store, *front, *touches, *access)
 		os.Exit(2)
 	}
+	if *store > core.MaxProcs-*front {
+		fmt.Fprintf(os.Stderr, "kv: -store %d with -front %d needs more than %d processors\n", *store, *front, core.MaxProcs)
+		os.Exit(2)
+	}
 	spec, err := load.ParseSpec(*workloadSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kv:", err)

@@ -50,6 +50,7 @@ func TestDriverExitCodes(t *testing.T) {
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"kv:"}},
 		{"policy-stats without policy", []string{"-policy-stats", "x.json"}, 2, []string{"-policy"}},
 		{"nonpositive store", []string{"-store", "0"}, 2, []string{"positive"}},
+		{"too many processors", []string{"-store", "5000"}, 2, []string{"4096 processors"}},
 		{"unwritable policy-stats", append([]string{"-policy", "costmodel", "-policy-stats", "/nonexistent-dir/x.json"}, smallLoad...), 1,
 			[]string{"writing policy stats"}},
 	}

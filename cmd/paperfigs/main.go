@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paperfigs [-exp all|fig1|fig2|fig3|table1|table2|table3|table4|table5|smallnode|ext-objmig|ext-policy|ext-fault|ext-kv|ext-recovery|scale]
-//	          [-quick] [-seed N] [-format text|md] [-workers N] [-shards N] [-bench-json out.json]
+//	          [-quick] [-seed N] [-format text|md] [-workers N] [-bench-json out.json]
 //	          [-faults SPEC] [-profile] [-cpuprofile out.pb] [-memprofile out.pb] [-fastpath=false]
 //
 // Independent simulation jobs run on a pool of -workers host goroutines
@@ -12,13 +12,6 @@
 // worker count. -bench-json runs each selected experiment at workers=1
 // and at -workers, verifies the outputs match, and writes wall-clock +
 // allocation + fast-path statistics to the given file.
-//
-// -shards N runs parallel-eligible simulations (the countnet CM/RPC
-// points) on N sharded event engines synchronized by conservative
-// lookahead; rendered tables are identical for any N >= 1 (and differ
-// from the N=0 serial engine's). With -bench-json, a nonzero -shards
-// switches the report to a shards=1 vs shards=N comparison — including
-// per-shard window/null-message counters — instead of the worker sweep.
 //
 // -profile prints per-subsystem host-time counters (shared-memory fast
 // and slow paths, network sends, event-heap pushes) to stderr after the
@@ -54,7 +47,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	format := flag.String("format", "text", "output format: text or md")
 	workers := flag.Int("workers", 0, "worker goroutines for independent simulation jobs (0 = one per CPU, 1 = serial)")
-	shards := flag.Int("shards", 0, "sharded event engines per parallel-eligible simulation (0 = serial engine)")
 	benchJSON := flag.String("bench-json", "", "write wall-clock + allocation stats per experiment to this JSON file")
 	prof := flag.Bool("profile", false, "print per-subsystem host-time counters to stderr after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -110,7 +102,7 @@ func main() {
 		}
 	}()
 
-	o := harness.Options{Quick: *quick, Seed: *seed, Workers: *workers, Faults: faults, Shards: *shards}
+	o := harness.Options{Quick: *quick, Seed: *seed, Workers: *workers, Faults: faults}
 
 	if *benchJSON != "" {
 		if err := runBench(*benchJSON, *exp, o); err != nil {
@@ -145,21 +137,11 @@ func main() {
 type benchEntry struct {
 	Experiment string  `json:"experiment"`
 	Workers    int     `json:"workers"`
-	Shards     int     `json:"shards"`
 	WallMS     float64 `json:"wall_ms"`
 	Allocs     uint64  `json:"allocs"`
 	AllocBytes uint64  `json:"alloc_bytes"`
 	FastHits   uint64  `json:"fast_hits"`
 	SlowMisses uint64  `json:"slow_misses"`
-	// Sharded-engine synchronization counters (zero on serial runs):
-	// windows is the number of lookahead windows the clusters executed,
-	// events the simulation events processed across lanes, nulls the
-	// lane-windows that processed nothing (pure synchronization cost),
-	// and cross the messages routed between lanes.
-	ShardWindows uint64 `json:"shard_windows"`
-	ShardEvents  uint64 `json:"shard_events"`
-	ShardNulls   uint64 `json:"shard_nulls"`
-	ShardCross   uint64 `json:"shard_cross"`
 	// Durability-store counters (zero unless the experiment ran with the
 	// WAL on — today only ext-recovery does): WAL records appended, bytes
 	// written by checkpoint folds, records replayed during crash
@@ -188,10 +170,7 @@ type benchReport struct {
 
 // runBench measures each selected experiment at workers=1 and at the
 // requested worker count, verifies the rendered tables are identical,
-// and writes the report to path. With Options.Shards set, the
-// comparison axis is the sharded engine instead: each experiment runs
-// at shards=1 and at the requested shard count (same workers), again
-// verified byte-identical.
+// and writes the report to path.
 func runBench(path, exp string, o harness.Options) error {
 	ids := []string{exp}
 	if exp == "all" {
@@ -199,18 +178,9 @@ func runBench(path, exp string, o harness.Options) error {
 		// share table1/3's), plus the full suite.
 		ids = []string{"fig1", "fig2", "table1", "table3", "table5", "smallnode", "ext-objmig", "ext-policy", "ext-fault", "all"}
 	}
-	base := harness.Options{Quick: o.Quick, Seed: o.Seed, Workers: o.Workers, Faults: o.Faults, Shards: o.Shards}
-	variant := base
-	axis := "workers"
-	if o.Shards > 0 {
-		// Shard counters come through the profile package; recording is
-		// gated on profiling being enabled.
-		profile.Enable(true)
-		axis = "shards"
-		base.Shards = 1
-	} else {
-		base.Workers = 1
-	}
+	parallel := harness.Options{Quick: o.Quick, Seed: o.Seed, Workers: o.Workers, Faults: o.Faults}
+	serial := parallel
+	serial.Workers = 1
 
 	report := benchReport{
 		Date:       time.Now().UTC().Format(time.RFC3339),
@@ -220,24 +190,23 @@ func runBench(path, exp string, o harness.Options) error {
 		Seed:       serialSeed(o.Seed),
 	}
 	for _, id := range ids {
-		se, sOut, err := measure(id, base)
+		se, sOut, err := measure(id, serial)
 		if err != nil {
 			return err
 		}
 		report.Experiments = append(report.Experiments, se)
-		pe, pOut, err := measure(id, variant)
+		pe, pOut, err := measure(id, parallel)
 		if err != nil {
 			return err
 		}
-		if pe.Workers != se.Workers || pe.Shards != se.Shards {
+		if pe.Workers != se.Workers {
 			report.Experiments = append(report.Experiments, pe)
 		}
 		if sOut != pOut {
-			return fmt.Errorf("paperfigs: experiment %q rendered differently at %s=%d vs %s=%d",
-				id, axis, pick(axis, se), axis, pick(axis, pe))
+			return fmt.Errorf("paperfigs: experiment %q rendered differently at workers=%d vs workers=%d", id, se.Workers, pe.Workers)
 		}
-		fmt.Fprintf(os.Stderr, "%-12s %s=%-2d %8.1f ms   %s=%-2d %8.1f ms\n",
-			id, axis, pick(axis, se), se.WallMS, axis, pick(axis, pe), pe.WallMS)
+		fmt.Fprintf(os.Stderr, "%-12s workers=%-2d %8.1f ms   workers=%-2d %8.1f ms\n",
+			id, se.Workers, se.WallMS, pe.Workers, pe.WallMS)
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -245,13 +214,6 @@ func runBench(path, exp string, o harness.Options) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func pick(axis string, e benchEntry) int {
-	if axis == "shards" {
-		return e.Shards
-	}
-	return e.Workers
 }
 
 func serialSeed(seed uint64) uint64 {
@@ -271,12 +233,10 @@ func measure(id string, o harness.Options) (benchEntry, string, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	pBefore := profile.Snapshot()
-	shBefore := profile.ShardSnapshot()
 	start := time.Now()
 	tables, err := harness.Run(id, o)
 	wall := time.Since(start)
 	pAfter := profile.Snapshot()
-	shAfter := profile.ShardSnapshot()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return benchEntry{}, "", err
@@ -315,16 +275,11 @@ func measure(id string, o harness.Options) (benchEntry, string, error) {
 	return benchEntry{
 		Experiment:      id,
 		Workers:         workers,
-		Shards:          o.Shards,
 		WallMS:          float64(wall.Microseconds()) / 1000,
 		Allocs:          after.Mallocs - before.Mallocs,
 		AllocBytes:      after.TotalAlloc - before.TotalAlloc,
 		FastHits:        fastHits,
 		SlowMisses:      slowMisses,
-		ShardWindows:    shAfter.Windows - shBefore.Windows,
-		ShardEvents:     sumDelta(shAfter.Events, shBefore.Events),
-		ShardNulls:      sumDelta(shAfter.Nulls, shBefore.Nulls),
-		ShardCross:      sumDelta(shAfter.Cross, shBefore.Cross),
 		WalAppends:      walAppends,
 		CheckpointBytes: ckptBytes,
 		ReplayEvents:    replays,
@@ -334,17 +289,4 @@ func measure(id string, o harness.Options) (benchEntry, string, error) {
 		LatencyP99:      lat.Quantile(0.99),
 		Tables:          len(tables),
 	}, b.String(), nil
-}
-
-// sumDelta sums the growth of per-lane counters between two snapshots
-// (the after snapshot may have widened to more lanes).
-func sumDelta(after, before []uint64) uint64 {
-	var d uint64
-	for i, v := range after {
-		d += v
-		if i < len(before) {
-			d -= before[i]
-		}
-	}
-	return d
 }

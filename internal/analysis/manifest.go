@@ -144,9 +144,6 @@ var schedulingSinks = map[funcKey]bool{
 	{simPath, "schedule"}:     true,
 	{simPath, "scheduleWake"}: true,
 	{simPath, "Spawn"}:        true,
-	{simPath, "ScheduleOn"}:   true,
-	{simPath, "CrossSend"}:    true,
-	{simPath, "AtBarrier"}:    true,
 	{simPath, "Unpark"}:       true,
 	{simPath, "UnparkAt"}:     true,
 	{simPath, "Sleep"}:        true,
@@ -171,14 +168,10 @@ var chargingSinks = map[funcKey]bool{
 }
 
 // sendSinks are the message-send primitives audited by cyclecharge.
-// Cluster.CrossSend is the sharded engine's inter-lane channel: it
-// bypasses the network package's Send wrappers, so a cycle-charged
-// package reaching it directly must price the send itself.
 var sendSinks = map[funcKey]bool{
 	{networkPath, "Send"}:        true,
 	{networkPath, "SendAfter"}:   true,
 	{networkPath, "SendGuarded"}: true,
-	{simPath, "CrossSend"}:       true,
 }
 
 // randSourcePaths are the packages allowed to implement randomness; all

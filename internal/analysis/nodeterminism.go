@@ -8,9 +8,10 @@ import (
 // NoDeterminism enforces the DESIGN.md contract that simulation-charged
 // code has no nondeterministic inputs: host clocks, ambient environment,
 // unseeded randomness, and host concurrency primitives are all forbidden.
-// Channel operations are not flagged (the sharded engine's lane barrier
-// is built from them), but goroutine spawns are, so each spawn site
-// carries an explicit //simvet:allow justification.
+// Channel operations are not flagged (the engine's idle-thread cache
+// hands retired threads between harness workers through one), but
+// goroutine spawns are, so each spawn site carries an explicit
+// //simvet:allow justification.
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
 	Doc: "forbid host time, ambient environment, unseeded randomness, and " +

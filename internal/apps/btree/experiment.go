@@ -64,14 +64,7 @@ type Config struct {
 	// nth replayed record during recovery. The post-run checker must fire.
 	DropNthAppend uint64
 	DropNthReplay uint64
-	// Shards is accepted for interface parity with countnet.Config but
-	// the B-tree always runs on the serial engine: every operation
-	// descends through the shared root (and splits rewrite ancestor
-	// nodes under the tree lock), so processor-partitioned lanes would
-	// all contend on the same objects and the sharded engine's
-	// state-partitioning precondition does not hold.
-	Shards int
-	// MaxEvents, when nonzero, bounds the events the serial engine
+	// MaxEvents, when nonzero, bounds the events the engine
 	// processes (sim.Engine.MaxEvents): a run that would exceed it
 	// panics ("did not quiesce") instead of running on.
 	MaxEvents uint64

@@ -2,8 +2,6 @@ package countnet
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"compmig/internal/core"
 	"compmig/internal/cost"
@@ -11,7 +9,6 @@ import (
 	"compmig/internal/mem"
 	"compmig/internal/network"
 	"compmig/internal/policy"
-	"compmig/internal/profile"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 	"compmig/internal/store"
@@ -58,16 +55,8 @@ type Config struct {
 	// checker's teeth can be verified.
 	DropNthAppend uint64
 	DropNthReplay uint64
-	// Shards, when >= 1, runs the simulation on that many sharded event
-	// engines synchronized by conservative lookahead (see sim.Cluster).
-	// Output is byte-identical across shard counts, but not to the
-	// serial (Shards == 0) engine, whose event-ordering keys differ.
-	// Configurations the sharded engine does not support — policies,
-	// faults, tracing, shared-memory or object-migration schemes,
-	// replication — silently fall back to the serial engine.
-	Shards int
-	// MaxEvents, when nonzero, bounds the events the serial engine
-	// processes (sim.Engine.MaxEvents): a run that would exceed it
+	// MaxEvents, when nonzero, bounds the events the engine processes
+	// (sim.Engine.MaxEvents): a run that would exceed it
 	// panics ("did not quiesce") instead of running on.
 	MaxEvents uint64
 }
@@ -135,26 +124,10 @@ type Result struct {
 	InvariantErr string
 }
 
-// FallbackNotice receives the one-line notice RunExperiment emits when a
-// run requested the sharded engine but the configuration requires the
-// serial one. It defaults to stderr; tests may swap it out. Writes
-// happen during host-side setup only, never on a simulated path.
-var FallbackNotice io.Writer = os.Stderr
-
 // RunExperiment builds a fresh machine, runs the workload, and reports
 // windowed throughput and bandwidth.
 func RunExperiment(cfg Config) Result {
 	cfg = cfg.WithDefaults()
-	if cfg.Shards >= 1 {
-		if cfg.parallelEligible() {
-			return runClustered(cfg)
-		}
-		// Fall back loudly: a silently ignored -shards makes serial
-		// wall-clock look like a sharding regression.
-		profile.ShardFallbacks.Add(1)
-		fmt.Fprintf(FallbackNotice, "countnet: shards=%d ignored, running on the serial engine: %s\n",
-			cfg.Shards, cfg.ineligibleReason())
-	}
 	eng := sim.NewEngine(cfg.Seed)
 	eng.MaxEvents = cfg.MaxEvents
 	var tracer *sim.Tracer
@@ -167,10 +140,7 @@ func RunExperiment(cfg Config) Result {
 	}
 
 	// Balancer processors first, then one processor per requester.
-	numBal := 0
-	for _, st := range Bitonic(cfg.Width).Stages {
-		numBal += len(st)
-	}
+	numBal := Balancers(cfg.Width)
 	reqProcs := (cfg.Threads + cfg.ThreadsPerProc - 1) / cfg.ThreadsPerProc
 	mach := sim.NewMachine(eng, numBal+reqProcs)
 	col := stats.NewCollector()

@@ -5,7 +5,10 @@
 // balancers — laid out one balancer per processor across 24 processors.
 package countnet
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BalancerSpec places one balancer on a pair of physical wires within a
 // stage. The balancer's top output stays on wire A, bottom on wire B.
@@ -47,6 +50,14 @@ func Bitonic(width int) *Layout {
 		l.RankOf[w] = r
 	}
 	return l
+}
+
+// Balancers returns the balancer count of Bitonic(width) without building
+// it: (log2 w)(log2 w + 1)/2 stages of w/2 balancers each. Width must be
+// a power of two >= 2.
+func Balancers(width int) int {
+	k := bits.TrailingZeros(uint(width))
+	return width / 2 * (k * (k + 1) / 2)
 }
 
 // bitonic returns the stages of Bitonic on the given physical wires plus

@@ -38,7 +38,7 @@ func TestBitonic8Shape(t *testing.T) {
 
 func TestBitonicWidths(t *testing.T) {
 	// Depth of Bitonic[2^k] is k(k+1)/2; balancers per stage = w/2.
-	for _, w := range []int{2, 4, 8, 16, 32} {
+	for _, w := range []int{2, 4, 8, 16, 32, 64} {
 		k := 0
 		for 1<<k < w {
 			k++
@@ -47,10 +47,15 @@ func TestBitonicWidths(t *testing.T) {
 		if len(stages) != k*(k+1)/2 {
 			t.Errorf("Bitonic[%d] depth = %d, want %d", w, len(stages), k*(k+1)/2)
 		}
+		n := 0
 		for si, st := range stages {
 			if len(st) != w/2 {
 				t.Errorf("Bitonic[%d] stage %d width = %d, want %d", w, si, len(st), w/2)
 			}
+			n += len(st)
+		}
+		if got := Balancers(w); got != n {
+			t.Errorf("Balancers(%d) = %d, Bitonic[%d] has %d", w, got, w, n)
 		}
 	}
 }

@@ -34,12 +34,11 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 	}
 
 	rt := t.rt
-	col := rt.colAt(t.proc.ID())
-	col.RPCCalls++
+	rt.Col.RPCCalls++
 	if ent.short {
-		col.ShortCalls++
+		rt.Col.ShortCalls++
 	}
-	id, fut := rt.newReplyAt(t.proc.ID())
+	id, fut := rt.newReply()
 	w := msg.NewWriter(4 + len(argWords))
 	w.PutU32(uint32(method))
 	w.PutU64(uint64(g))
@@ -48,7 +47,7 @@ func (t *Task) Call(g gid.GID, method MethodID, args msg.Marshaler, out msg.Unma
 	payload := w.Words()
 	words := uint64(len(payload)) + network.HeaderWords
 
-	t.th.Exec(t.proc, rt.chargeSendTo(col, words))
+	t.th.Exec(t.proc, rt.chargeSend(words))
 	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: rt.locate(t.proc.ID(), g), Kind: "rpc", Payload: payload},
 		rt.deliverRPC, rt.guard(id))
 
@@ -102,7 +101,7 @@ func (rt *Runtime) deliverRPC(m *network.Message) {
 	ent := &rt.methods[method]
 
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecvTo(rt.colAt(m.Dst), words, ent.short)
+	overhead := rt.chargeRecv(words, ent.short)
 
 	runHandler := func(th *sim.Thread) {
 		self := rt.Objects.State(g)
@@ -116,9 +115,8 @@ func (rt *Runtime) deliverRPC(m *network.Message) {
 	dst.ExecAsync(overhead, func() {
 		// Both paths run on a simulated thread so handlers can block on
 		// locks or charge work; the cost difference (thread creation) was
-		// applied in chargeRecv. Spawning via the destination processor
-		// keeps the handler on that processor's shard lane.
-		dst.Spawn("handler:"+ent.name, 0, runHandler)
+		// applied in chargeRecv.
+		rt.Eng.Spawn("handler:"+ent.name, 0, runHandler)
 	})
 }
 
@@ -126,7 +124,7 @@ func (rt *Runtime) deliverRPC(m *network.Message) {
 // future directly when the caller is co-located.
 func (rt *Runtime) sendReply(t *Task, callerProc int, replyID uint32, resultWords []uint32) {
 	if callerProc == t.proc.ID() {
-		rt.completeReplyAt(callerProc, replyID, resultWords)
+		rt.completeReply(replyID, resultWords)
 		return
 	}
 	w := msg.NewWriter(1 + len(resultWords))
@@ -134,7 +132,7 @@ func (rt *Runtime) sendReply(t *Task, callerProc int, replyID uint32, resultWord
 	w.PutRaw(resultWords)
 	payload := w.Words()
 	words := uint64(len(payload)) + network.HeaderWords
-	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(t.proc.ID()), words))
+	t.th.Exec(t.proc, rt.chargeSend(words))
 	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: callerProc, Kind: "reply", Payload: payload},
 		rt.deliverReply, rt.guard(replyID))
 }

@@ -197,14 +197,6 @@ type Runtime struct {
 	// Obs, when non-nil, is notified of every remote access the runtime
 	// dispatches (see AccessObserver). It must be simulation-inert.
 	Obs AccessObserver
-
-	// Sharded-engine routing, set by Shard (see shard.go). cl is the lane
-	// cluster, lanes holds each lane's private slice of runtime state, and
-	// colOf maps processor -> that lane's collector. All nil on a serial
-	// runtime.
-	cl    *sim.Cluster
-	lanes []laneState
-	colOf []*stats.Collector
 }
 
 // New creates a runtime over an existing machine and network.
@@ -349,10 +341,14 @@ func waitWords(fut *sim.Future, th *sim.Thread) ([]uint32, error) {
 	}
 }
 
+// MaxProcs is the largest machine the runtime can address: packLinkage
+// packs a processor number into 12 bits.
+const MaxProcs = 1 << 12
+
 // packLinkage squeezes a reply handle into one wire word: 12 bits of
 // processor, 20 bits of recycled reply id.
 func packLinkage(proc int, id uint32) uint32 {
-	if proc < 0 || proc >= 1<<12 {
+	if proc < 0 || proc >= MaxProcs {
 		panic(fmt.Sprintf("core: processor %d does not fit linkage packing", proc))
 	}
 	if id >= 1<<20 {
@@ -383,41 +379,29 @@ func (rt *Runtime) WipeVolatile(proc int) int {
 // chargeSend accounts the client-stub send path for a payload of words
 // 32-bit words and returns its total cycle cost.
 func (rt *Runtime) chargeSend(words uint64) uint64 {
-	return rt.chargeSendTo(rt.Col, words)
-}
-
-// chargeSendTo is chargeSend with the charges routed to an explicit
-// collector — the sending processor's lane collector under sharding.
-func (rt *Runtime) chargeSendTo(col *stats.Collector, words uint64) uint64 {
 	m := rt.Model
-	col.AddCycles(stats.CatSendLinkage, m.SendLinkage)
-	col.AddCycles(stats.CatSendAllocPacket, m.SendAllocPacket)
-	col.AddCycles(stats.CatMessageSend, m.MessageSend)
-	col.AddCycles(stats.CatMarshal, m.Marshal(words))
+	rt.Col.AddCycles(stats.CatSendLinkage, m.SendLinkage)
+	rt.Col.AddCycles(stats.CatSendAllocPacket, m.SendAllocPacket)
+	rt.Col.AddCycles(stats.CatMessageSend, m.MessageSend)
+	rt.Col.AddCycles(stats.CatMarshal, m.Marshal(words))
 	return m.SendLinkage + m.SendAllocPacket + m.MessageSend + m.Marshal(words)
 }
 
 // chargeRecv accounts the server-side receive path (dispatch of an rpc or
 // migrate message) and returns its total cycle cost.
 func (rt *Runtime) chargeRecv(words uint64, short bool) uint64 {
-	return rt.chargeRecvTo(rt.Col, words, short)
-}
-
-// chargeRecvTo is chargeRecv with the charges routed to an explicit
-// collector — the receiving processor's lane collector under sharding.
-func (rt *Runtime) chargeRecvTo(col *stats.Collector, words uint64, short bool) uint64 {
 	m := rt.Model
-	col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))
-	col.AddCycles(stats.CatRecvLinkage, m.RecvLinkage)
-	col.AddCycles(stats.CatUnmarshal, m.Unmarshal(words))
-	col.AddCycles(stats.CatGIDTranslation, m.GIDTranslation)
-	col.AddCycles(stats.CatScheduler, m.Scheduler)
-	col.AddCycles(stats.CatForwardingCheck, m.ForwardingCheck)
-	col.AddCycles(stats.CatRecvAllocPacket, m.RecvAllocPacket)
+	rt.Col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))
+	rt.Col.AddCycles(stats.CatRecvLinkage, m.RecvLinkage)
+	rt.Col.AddCycles(stats.CatUnmarshal, m.Unmarshal(words))
+	rt.Col.AddCycles(stats.CatGIDTranslation, m.GIDTranslation)
+	rt.Col.AddCycles(stats.CatScheduler, m.Scheduler)
+	rt.Col.AddCycles(stats.CatForwardingCheck, m.ForwardingCheck)
+	rt.Col.AddCycles(stats.CatRecvAllocPacket, m.RecvAllocPacket)
 	total := m.CopyPacket(words) + m.RecvLinkage + m.Unmarshal(words) +
 		m.GIDTranslation + m.Scheduler + m.ForwardingCheck + m.RecvAllocPacket
 	if !short {
-		col.AddCycles(stats.CatThreadCreation, m.ThreadCreation)
+		rt.Col.AddCycles(stats.CatThreadCreation, m.ThreadCreation)
 		total += m.ThreadCreation
 	}
 	return total
@@ -437,18 +421,12 @@ func (rt *Runtime) ChargeRecvReplyPath(words uint64) uint64 { return rt.chargeRe
 // bookkeeping, and the scheduler wakeup — everything but object-ID
 // translation, the forwarding check, and handler-thread creation.
 func (rt *Runtime) chargeRecvReply(words uint64) uint64 {
-	return rt.chargeRecvReplyTo(rt.Col, words)
-}
-
-// chargeRecvReplyTo is chargeRecvReply with the charges routed to an
-// explicit collector.
-func (rt *Runtime) chargeRecvReplyTo(col *stats.Collector, words uint64) uint64 {
 	m := rt.Model
-	col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))
-	col.AddCycles(stats.CatRecvLinkage, m.RecvLinkage)
-	col.AddCycles(stats.CatUnmarshal, m.Unmarshal(words))
-	col.AddCycles(stats.CatScheduler, m.Scheduler)
-	col.AddCycles(stats.CatRecvAllocPacket, m.RecvAllocPacket)
+	rt.Col.AddCycles(stats.CatCopyPacket, m.CopyPacket(words))
+	rt.Col.AddCycles(stats.CatRecvLinkage, m.RecvLinkage)
+	rt.Col.AddCycles(stats.CatUnmarshal, m.Unmarshal(words))
+	rt.Col.AddCycles(stats.CatScheduler, m.Scheduler)
+	rt.Col.AddCycles(stats.CatRecvAllocPacket, m.RecvAllocPacket)
 	return m.CopyPacket(words) + m.RecvLinkage + m.Unmarshal(words) +
 		m.Scheduler + m.RecvAllocPacket
 }

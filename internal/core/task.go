@@ -58,7 +58,7 @@ func (t *Task) Now() sim.Time { return t.th.Now() }
 // Work charges n cycles of application computation on the current
 // processor (Table 5 "User code").
 func (t *Task) Work(n uint64) {
-	t.rt.colAt(t.proc.ID()).AddCycles(stats.CatUserCode, n)
+	t.rt.Col.AddCycles(stats.CatUserCode, n)
 	t.th.Exec(t.proc, n)
 }
 
@@ -93,7 +93,7 @@ func (t *Task) Do(entry Continuation, out msg.Unmarshaler) error {
 	if t.isMethod {
 		panic("core: instance method activations may not start migratable procedures")
 	}
-	id, fut := t.rt.newReplyAt(t.proc.ID())
+	id, fut := t.rt.newReply()
 	child := &Task{rt: t.rt, th: t.th, proc: t.proc, reply: replyHandle{proc: t.proc.ID(), id: id}}
 	entry.Run(child)
 	// Either the procedure completed locally (future already done) or it
@@ -127,7 +127,7 @@ func (t *Task) Migrate(g gid.GID, contID ContID, next Continuation) {
 	}
 	t.migrated = true
 	rt := t.rt
-	rt.colAt(t.proc.ID()).MigrationsSent++
+	rt.Col.MigrationsSent++
 	if rt.Eng.Tracing() {
 		rt.Eng.Tracef("migrate", "frame -> p%d (obj %#x)", rt.Objects.Home(g), uint64(g))
 	}
@@ -150,7 +150,7 @@ func (t *Task) Migrate(g gid.GID, contID ContID, next Continuation) {
 	}
 
 	// Client-stub send path runs on the current processor.
-	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(t.proc.ID()), words))
+	t.th.Exec(t.proc, rt.chargeSend(words))
 	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: rt.locate(t.proc.ID(), g), Kind: "migrate", Payload: payload},
 		rt.deliverMigrate, rt.guard(t.reply.id))
 	// The frame at this processor is now dead. If it was itself a remote
@@ -169,10 +169,10 @@ func (rt *Runtime) deliverMigrate(m *network.Message) {
 	}
 	dst := rt.Mach.Proc(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecvTo(rt.colAt(m.Dst), words, false)
+	overhead := rt.chargeRecv(words, false)
 	dst.ExecAsync(overhead, func() {
-		rt.bumpActivations(m.Dst)
-		dst.Spawn("activation", 0, func(th *sim.Thread) {
+		rt.Activations++
+		rt.Eng.Spawn("activation", 0, func(th *sim.Thread) {
 			r := msg.NewReader(m.Payload)
 			r.U64() // target gid, checked before dispatch
 			contID, nframes := unpackContHeader(r.U32())
@@ -228,7 +228,7 @@ func (t *Task) Return(result msg.Marshaler) {
 	if t.reply.proc == t.proc.ID() {
 		// Local completion: the procedure never left (or returned home);
 		// results pass in registers, no messages.
-		rt.completeReplyAt(t.proc.ID(), t.reply.id, resultWords)
+		rt.completeReply(t.reply.id, resultWords)
 		return
 	}
 	w := msg.NewWriter(1 + len(resultWords))
@@ -236,7 +236,7 @@ func (t *Task) Return(result msg.Marshaler) {
 	w.PutRaw(resultWords)
 	payload := w.Words()
 	words := uint64(len(payload)) + network.HeaderWords
-	t.th.Exec(t.proc, rt.chargeSendTo(rt.colAt(t.proc.ID()), words))
+	t.th.Exec(t.proc, rt.chargeSend(words))
 	rt.Net.SendGuarded(&network.Message{Src: t.proc.ID(), Dst: t.reply.proc, Kind: "reply", Payload: payload},
 		rt.deliverReply, rt.guard(t.reply.id))
 }
@@ -245,12 +245,12 @@ func (t *Task) Return(result msg.Marshaler) {
 func (rt *Runtime) deliverReply(m *network.Message) {
 	dst := rt.Mach.Proc(m.Dst)
 	words := uint64(len(m.Payload)) + network.HeaderWords
-	overhead := rt.chargeRecvReplyTo(rt.colAt(m.Dst), words)
+	overhead := rt.chargeRecvReply(words)
 	dst.ExecAsync(overhead, func() {
 		r := msg.NewReader(m.Payload)
 		id := r.U32()
 		rest := make([]uint32, r.Remaining())
 		copy(rest, m.Payload[1:])
-		rt.completeReplyAt(m.Dst, id, rest)
+		rt.completeReply(id, rest)
 	})
 }

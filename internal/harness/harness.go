@@ -44,12 +44,6 @@ type Options struct {
 	// nothing — output stays byte-identical to a fault-free run. The
 	// ext-fault experiment ignores this field: it sweeps its own plans.
 	Faults *fault.Spec
-	// Shards, when >= 1, runs parallel-eligible simulations on that many
-	// sharded event engines (countnet CM/RPC points; everything else
-	// falls back to the serial engine — see countnet.Config.Shards).
-	// Results are identical for any Shards >= 1 but differ from the
-	// serial engine's, so the pinned-baseline suites keep Shards == 0.
-	Shards int
 }
 
 // ParseFaults parses the -faults flag grammar into a plan for
@@ -307,7 +301,6 @@ func countnetExp(o Options) experiment {
 					Threads: n, Think: think, Scheme: s,
 					Seed: o.seed(), Warmup: warmup, Measure: measure,
 					Policy: abPolicy(s.Mechanism), Faults: o.Faults,
-					Shards: o.Shards,
 				}
 				specs = append(specs, RunSpec{
 					Label: fmt.Sprintf("countnet/%s/think=%d/threads=%d", s.Name(), think, n),
@@ -389,7 +382,6 @@ func btree12Exp(o Options) experiment {
 			Scheme: s, Think: 0, Seed: o.seed(),
 			Warmup: warmup, Measure: measure,
 			Policy: abPolicy(s.Mechanism), Faults: o.Faults,
-			Shards: o.Shards,
 		}
 		specs = append(specs, RunSpec{
 			Label: "table1/" + s.Name(),
@@ -445,7 +437,6 @@ func btree34Exp(o Options) experiment {
 			Scheme: s, Think: 10000, Seed: o.seed(),
 			Warmup: warmup, Measure: measure,
 			Policy: abPolicy(s.Mechanism), Faults: o.Faults,
-			Shards: o.Shards,
 		}
 		specs = append(specs, RunSpec{
 			Label: "table3/" + s.Name(),

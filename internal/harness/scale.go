@@ -34,11 +34,8 @@ func scalePoints(quick bool) []scalePoint {
 }
 
 // scaleExp is the 256-1,024 processor mesh sweep on both applications.
-// Both apps run on a 2D mesh (per-hop latency is what gives the shard
-// lanes a real lookahead window); countnet CM/RPC points honor
-// Options.Shards and run on the sharded engine, while the B-tree — whose
-// root-serialized accesses defeat processor partitioning — always runs
-// serially and serves as the serial-scaling baseline.
+// Both apps run on a 2D mesh, where per-hop latency makes every extra
+// RPC round trip cost more as the machine grows.
 func scaleExp(o Options) experiment {
 	warmup, measure := o.windows()
 	points := scalePoints(o.Quick)
@@ -50,10 +47,10 @@ func scaleExp(o Options) experiment {
 			cfg := countnet.Config{
 				Width: pt.cnWidth, Threads: pt.cnThreads, Scheme: s,
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
-				Mesh: true, Shards: o.Shards,
+				Mesh: true,
 			}
 			specs = append(specs, RunSpec{
-				Label: fmt.Sprintf("scale/countnet/%s/procs=%d/shards=%d", s.Name(), cnProcs, o.Shards),
+				Label: fmt.Sprintf("scale/countnet/%s/procs=%d", s.Name(), cnProcs),
 				Run:   func() any { return countnet.RunExperiment(cfg) },
 			})
 		}
@@ -65,7 +62,7 @@ func scaleExp(o Options) experiment {
 			cfg := btree.Config{
 				Params: p, Threads: pt.btThreads, Scheme: s,
 				Seed: o.seed(), Warmup: warmup, Measure: measure,
-				Mesh: true, Shards: o.Shards,
+				Mesh: true,
 			}
 			specs = append(specs, RunSpec{
 				Label: fmt.Sprintf("scale/btree/%s/procs=%d", s.Name(), pt.btProcs+pt.btThreads),
@@ -78,7 +75,7 @@ func scaleExp(o Options) experiment {
 			ID:      "SCALE",
 			Title:   "Large-mesh scaling, 256-1024 processors (0 think time)",
 			Headers: []string{"app", "scheme", "procs", "tput/1000cyc", "words/10cyc", "ops"},
-			Note:    "countnet CM/RPC points run on the sharded engine when -shards >= 1; the B-tree is always serial",
+			Note:    "both applications run on a 2D mesh with per-hop transit latency",
 		}
 		i := 0
 		for _, pt := range points {
@@ -111,9 +108,5 @@ func scaleExp(o Options) experiment {
 // countnetProcs returns the machine size of a countnet run: one
 // processor per balancer plus one per requester thread.
 func countnetProcs(width, threads int) int {
-	n := 0
-	for _, st := range countnet.Bitonic(width).Stages {
-		n += len(st)
-	}
-	return n + threads
+	return countnet.Balancers(width) + threads
 }

@@ -19,12 +19,9 @@ import (
 // destination, kind/handler index, and payload length.
 const HeaderWords = 2
 
-// Topology computes the hop distance between two processors, and the
-// minimum hop distance between two processor groups (the lookahead
-// primitive of the sharded engine).
+// Topology computes the hop distance between two processors.
 type Topology interface {
 	Hops(src, dst int) uint64
-	MinHops(groupA, groupB []int) uint64
 	Name() string
 }
 
@@ -36,23 +33,6 @@ type Crossbar struct{}
 func (Crossbar) Hops(src, dst int) uint64 {
 	if src == dst {
 		return 0
-	}
-	return 1
-}
-
-// MinHops returns the minimum Hops over pairs drawn from the two groups:
-// 0 when the groups share a processor, 1 otherwise. Like Mesh.MinHops it
-// panics on an empty group, for which no minimum exists.
-func (c Crossbar) MinHops(groupA, groupB []int) uint64 {
-	if len(groupA) == 0 || len(groupB) == 0 {
-		panic("network: crossbar MinHops on an empty group")
-	}
-	for _, a := range groupA {
-		for _, b := range groupB {
-			if a == b {
-				return 0
-			}
-		}
 	}
 	return 1
 }
@@ -92,52 +72,8 @@ func (m Mesh) Hops(src, dst int) uint64 {
 	return uint64(abs(sx-dx) + abs(sy-dy))
 }
 
-// MinHops returns the minimum Manhattan distance over pairs drawn from
-// the two groups — the shortest wire any message between the groups can
-// take, which is what bounds a shard pair's lookahead. Like Hops it
-// panics on proc ids outside [0, W*H), and on an empty group, for which
-// no minimum exists.
-func (m Mesh) MinHops(groupA, groupB []int) uint64 {
-	if len(groupA) == 0 || len(groupB) == 0 {
-		panic(fmt.Sprintf("network: %s MinHops on an empty group", m.Name()))
-	}
-	best := ^uint64(0)
-	for _, a := range groupA {
-		for _, b := range groupB {
-			if h := m.Hops(a, b); h < best {
-				best = h
-			}
-		}
-	}
-	return best
-}
-
 // Name identifies the topology in reports.
 func (m Mesh) Name() string { return fmt.Sprintf("mesh%dx%d", m.W, m.H) }
-
-// Lookahead returns the conservative synchronization window for lane
-// groups over topo: the minimum wire latency of any cross-group message,
-// base + perHop * MinHops minimized over ordered group pairs. With
-// fewer than two groups there is no cross-group message and no
-// constraint; the result is 0 (unbounded windows).
-func Lookahead(topo Topology, groups [][]int, transitBase, transitPerHop uint64) uint64 {
-	if len(groups) < 2 {
-		return 0
-	}
-	best := ^uint64(0)
-	for i := range groups {
-		for j := range groups {
-			if i == j {
-				continue
-			}
-			l := transitBase + transitPerHop*topo.MinHops(groups[i], groups[j])
-			if l < best {
-				best = l
-			}
-		}
-	}
-	return best
-}
 
 // Message is one packet in flight.
 type Message struct {
@@ -185,39 +121,6 @@ type Network struct {
 	// fault injector is in effect. The fault-free hot path pays one nil
 	// check.
 	rel *reliability
-
-	// cl and lanes are set by Shard: sends then charge the source lane's
-	// collector and route deliveries to the destination's lane engine,
-	// crossing lanes through the cluster's deterministic channel.
-	cl    *sim.Cluster
-	lanes []laneNet
-}
-
-// laneNet is one shard lane's slice of the network: its engine, its
-// collector, its delivery-adapter pool, and its arrival count. Each is
-// touched only while its lane executes.
-type laneNet struct {
-	eng       *sim.Engine
-	col       *stats.Collector
-	pool      []*laneDelivery
-	delivered uint64
-}
-
-// laneDelivery is the per-lane analogue of delivery for same-lane
-// flights under sharding.
-type laneDelivery struct {
-	ln     *laneNet
-	m      *Message
-	arrive func(*Message)
-	fn     func()
-}
-
-func (d *laneDelivery) run() {
-	ln, m, arrive := d.ln, d.m, d.arrive
-	d.m, d.arrive = nil, nil
-	ln.pool = append(ln.pool, d)
-	ln.delivered++
-	arrive(m)
 }
 
 // delivery carries one in-flight message from Send to its arrival
@@ -255,69 +158,6 @@ func New(eng *sim.Engine, topo Topology, col *stats.Collector, transitBase, tran
 // Collector returns the stats sink this network reports into.
 func (n *Network) Collector() *stats.Collector { return n.col }
 
-// Shard routes the network over a lane cluster: message and cycle
-// accounting go to the sending processor's lane collector (cols, by
-// lane index) and deliveries land on the destination's lane engine —
-// directly for same-lane pairs, through the cluster's deterministic
-// cross-lane channel otherwise. Sharding composes with neither the
-// reliability layer nor tracing, whose state is engine-global.
-func (n *Network) Shard(cl *sim.Cluster, cols []*stats.Collector) {
-	if n.rel != nil {
-		panic("network: cannot shard a network with a fault injector attached")
-	}
-	if len(cols) != cl.Shards() {
-		panic(fmt.Sprintf("network: %d lane collectors for %d shards", len(cols), cl.Shards()))
-	}
-	n.cl = cl
-	n.lanes = make([]laneNet, cl.Shards())
-	for i := range n.lanes {
-		n.lanes[i] = laneNet{eng: cl.Lane(i), col: cols[i]}
-	}
-}
-
-// DeliveredTotal returns arrived-message counts summed across lanes (or
-// the serial Delivered count when the network is not sharded).
-func (n *Network) DeliveredTotal() uint64 {
-	total := n.Delivered
-	for i := range n.lanes {
-		total += n.lanes[i].delivered
-	}
-	return total
-}
-
-// sendSharded is the SendAfter body under Shard.
-func (n *Network) sendSharded(m *Message, recvDelay uint64, arrive func(*Message)) {
-	if profile.Enabled() {
-		defer profile.NetSends.Time(1)()
-	}
-	srcLane := n.cl.LaneOf(m.Src)
-	src := &n.lanes[srcLane]
-	words := m.Words()
-	src.col.CountMessage(m.Kind, words)
-	lat := n.Latency(m.Src, m.Dst, words)
-	src.col.AddCycles(stats.CatNetworkTransit, lat)
-	dstLane := n.cl.LaneOf(m.Dst)
-	if dstLane == srcLane {
-		var d *laneDelivery
-		if k := len(src.pool); k > 0 {
-			d = src.pool[k-1]
-			src.pool[k-1] = nil
-			src.pool = src.pool[:k-1]
-		} else {
-			d = &laneDelivery{ln: src}
-			d.fn = d.run
-		}
-		d.m, d.arrive = m, arrive
-		src.eng.ScheduleOn(lat+recvDelay, m.Dst, d.fn)
-		return
-	}
-	dst := &n.lanes[dstLane]
-	n.cl.CrossSend(src.eng, lat+recvDelay, m.Dst, func() {
-		dst.delivered++
-		arrive(m)
-	})
-}
-
 // Latency returns the wire latency for a message of size words from src
 // to dst.
 func (n *Network) Latency(src, dst int, words uint64) uint64 {
@@ -339,10 +179,6 @@ func (n *Network) Send(m *Message, arrive func(*Message)) {
 func (n *Network) SendAfter(m *Message, recvDelay uint64, arrive func(*Message)) {
 	if n.rel != nil {
 		n.rel.send(m, recvDelay, arrive, nil)
-		return
-	}
-	if n.cl != nil {
-		n.sendSharded(m, recvDelay, arrive)
 		return
 	}
 	if profile.Enabled() {

@@ -82,8 +82,6 @@ var (
 	FaultTimeouts    Section // retransmission timer firings
 	FaultGiveUps     Section // messages abandoned after the attempt budget
 
-	ShardFallbacks Section // runs that requested shards but fell back to the serial engine
-
 	StoreAppends         Section // WAL records appended
 	StoreCheckpointBytes Section // bytes written by checkpoint folds
 	StoreReplays         Section // records re-applied during crash recovery
@@ -114,7 +112,6 @@ func Snapshot() []Stat {
 		{"fault.retransmits", FaultRetransmits.Count.Load(), FaultRetransmits.Ns.Load()},
 		{"fault.timeouts", FaultTimeouts.Count.Load(), FaultTimeouts.Ns.Load()},
 		{"fault.giveups", FaultGiveUps.Count.Load(), FaultGiveUps.Ns.Load()},
-		{"shard.fallbacks", ShardFallbacks.Count.Load(), ShardFallbacks.Ns.Load()},
 		{"store.wal_appends", StoreAppends.Count.Load(), StoreAppends.Ns.Load()},
 		{"store.checkpoint_bytes", StoreCheckpointBytes.Count.Load(), StoreCheckpointBytes.Ns.Load()},
 		{"store.replay_events", StoreReplays.Count.Load(), StoreReplays.Ns.Load()},

@@ -36,18 +36,6 @@ type Event struct {
 	th  *Thread // wakeup event: hand control to th instead of calling fn
 	eng *Engine
 
-	// stream and exec only matter on a clustered engine (Cluster). stream
-	// is the merge-key stream the event was scheduled from (scheduling
-	// ambient + 1, so slot 0 is setup/coordinator context); seq is then
-	// drawn from the cluster-wide per-stream counter instead of the
-	// engine-local one, which makes (at, stream, seq) a total order that
-	// does not depend on how processors are partitioned into lanes. exec
-	// is the ambient stream installed when the event dispatches (the
-	// processor the event logically runs on). Both stay zero on a serial
-	// engine, where ordering degenerates to the classic (at, seq).
-	stream int32
-	exec   int32
-
 	index int // heap index, -1 when not queued (fired, cancelled, or pooled)
 }
 
@@ -81,14 +69,6 @@ type Engine struct {
 	rng     *PRNG
 	stopped bool
 	tracer  *Tracer
-
-	// cluster and lane wire the engine into a sharded Cluster as one of
-	// its lanes; both stay zero on the classic serial engine. curStream
-	// is the ambient stream id of the event currently executing (-1 in
-	// setup/coordinator context); it feeds the cluster-wide merge keys.
-	cluster   *Cluster
-	lane      int
-	curStream int32
 
 	// limited/runLimit are set while RunUntil is draining events, so the
 	// fast path cannot advance the clock past the limit.
@@ -131,16 +111,6 @@ func (e *Engine) At(at Time, fn func()) *Event {
 	return e.schedule(at, fn, nil)
 }
 
-// ScheduleOn queues fn at e.Now()+delay to run as processor proc's event
-// stream. On a clustered engine this is how a same-lane message delivery
-// installs the destination's ambient stream before the callback runs; on
-// a serial engine it is identical to Schedule.
-func (e *Engine) ScheduleOn(delay Time, proc int, fn func()) *Event {
-	ev := e.schedule(e.now+delay, fn, nil)
-	ev.exec = int32(proc)
-	return ev
-}
-
 // scheduleWake queues a wakeup for th at absolute time at. Wakeups are
 // tagged with the thread rather than wrapped in a closure so dispatch
 // can resume it directly.
@@ -155,32 +125,15 @@ func (e *Engine) schedule(at Time, fn func(), th *Thread) *Event {
 	if profile.Enabled() {
 		profile.HeapOps.Add(1)
 	}
-	var stream int32
-	var seq uint64
-	exec := e.curStream
-	if th != nil {
-		exec = th.stream
-	}
-	if cl := e.cluster; cl != nil {
-		// Merge keys come from the scheduling stream's cluster-wide
-		// counter, never from engine-local state, so two events at the
-		// same cycle sort the same way at every shard count.
-		stream = e.curStream + 1
-		seq = cl.ctrs[stream]
-		cl.ctrs[stream] = seq + 1
-	} else {
-		e.seq++
-		seq = e.seq
-	}
+	e.seq++
 	var ev *Event
 	if n := len(e.pool); n > 0 {
 		ev = e.pool[n-1]
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
-		ev.at, ev.seq, ev.fn, ev.th = at, seq, fn, th
-		ev.stream, ev.exec = stream, exec
+		ev.at, ev.seq, ev.fn, ev.th = at, e.seq, fn, th
 	} else {
-		ev = &Event{at: at, seq: seq, fn: fn, th: th, stream: stream, exec: exec, eng: e, index: -1}
+		ev = &Event{at: at, seq: e.seq, fn: fn, th: th, eng: e, index: -1}
 	}
 	e.heap.push(ev)
 	return ev
@@ -226,9 +179,6 @@ func (e *Engine) dispatch(ev *Event) {
 	}
 	e.now = ev.at
 	e.processed++
-	if e.cluster != nil {
-		e.curStream = ev.exec
-	}
 	if th := ev.th; th != nil {
 		e.release(ev)
 		e.current = th
@@ -283,24 +233,6 @@ func (e *Engine) RunUntil(limit Time) error {
 	return nil
 }
 
-// runWindow processes events with timestamps <= limit and returns,
-// leaving parked threads parked and the thread pool intact: unlike
-// RunUntil it neither drains the pool nor clamps the clock forward,
-// because the lane will be re-entered for the next synchronization
-// window. Only Cluster.Run calls it.
-func (e *Engine) runWindow(limit Time) error {
-	e.stopped = false
-	e.limited, e.runLimit = true, limit
-	defer func() { e.limited = false }()
-	for len(e.heap) > 0 && !e.stopped && e.heap[0].at <= limit {
-		e.dispatch(e.heap.pop())
-		if e.MaxEvents != 0 && e.processed >= e.MaxEvents {
-			return &MaxEventsError{Max: e.MaxEvents, Now: e.now}
-		}
-	}
-	return nil
-}
-
 // fastAdvance reports whether the clock can jump straight to at without
 // dispatching any other event, and performs the jump when it can. A
 // running thread uses this to skip the park/resume round trip entirely
@@ -347,9 +279,7 @@ func (e *Engine) drainThreadPool() {
 	e.threadPool = e.threadPool[:0]
 }
 
-// eventHeap is a binary min-heap ordered by (at, stream, seq) — stream
-// is zero everywhere on a serial engine, so its order there is the
-// classic (at, seq). It is hand-rolled
+// eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
 // rather than built on container/heap: the sift loops below run for every
 // event the simulator processes, and the interface-based version's
 // indirect Less/Swap calls were a measurable share of total run time.
@@ -360,9 +290,6 @@ type eventHeap []*Event
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
-	}
-	if h[i].stream != h[j].stream {
-		return h[i].stream < h[j].stream
 	}
 	return h[i].seq < h[j].seq
 }

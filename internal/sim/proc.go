@@ -92,17 +92,8 @@ func (m *Machine) Procs() []*Proc { return m.procs }
 // ID returns the processor number.
 func (p *Proc) ID() int { return p.id }
 
-// Engine returns the engine the processor's events execute on: the
-// machine's engine, or the processor's shard lane on a clustered machine.
+// Engine returns the engine the processor's events execute on.
 func (p *Proc) Engine() *Engine { return p.eng }
-
-// Spawn creates a simulated thread bound to processor p's event stream,
-// beginning at p's engine time plus delay. On a clustered machine the
-// wakeup lands on p's shard lane; on a serial engine this is identical
-// to Engine.Spawn.
-func (p *Proc) Spawn(name string, delay Time, body func(*Thread)) *Thread {
-	return p.eng.spawnAt(name, delay, body, int32(p.id))
-}
 
 // FreeAt returns the cycle at which the processor next becomes idle.
 func (p *Proc) FreeAt() Time { return p.free }
@@ -180,9 +171,6 @@ func (th *Thread) Exec(p *Proc, cycles Time) {
 	if cycles == 0 {
 		return
 	}
-	if th.eng != p.eng {
-		panic(fmt.Sprintf("sim: thread %s executing on p%d of another shard lane", th, p.id))
-	}
 	end := p.reserve(cycles)
 	if th.eng.fastAdvance(end) {
 		return
@@ -218,7 +206,6 @@ func (p *Proc) ReserveAt(at, cycles Time) Time {
 func (p *Proc) ExecAsync(cycles Time, fn func()) {
 	end := p.reserve(cycles)
 	if fn != nil {
-		ev := p.eng.At(end, fn)
-		ev.exec = int32(p.id)
+		p.eng.At(end, fn)
 	}
 }

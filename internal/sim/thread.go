@@ -38,12 +38,6 @@ type Thread struct {
 	yield func(struct{}) bool
 	stop  func()
 
-	// stream is the event stream the thread's wakeups execute as: the
-	// processor the thread is bound to on a clustered engine (set by
-	// Proc.Spawn), or the spawner's ambient stream. Zero and unused on a
-	// serial engine.
-	stream int32
-
 	// scratch is the future handed out by ScratchFuture.
 	scratch Future
 }
@@ -61,12 +55,6 @@ const (
 // e.Now()+delay. The body runs under engine control; it must only interact
 // with the simulation through the Thread it receives.
 func (e *Engine) Spawn(name string, delay Time, body func(*Thread)) *Thread {
-	return e.spawnAt(name, delay, body, e.curStream)
-}
-
-// spawnAt is Spawn with an explicit stream binding: the thread's wakeup
-// events execute as stream (processor id on a clustered engine).
-func (e *Engine) spawnAt(name string, delay Time, body func(*Thread), stream int32) *Thread {
 	e.nextTID++
 	var th *Thread
 	if n := len(e.threadPool); n > 0 {
@@ -84,7 +72,6 @@ func (e *Engine) spawnAt(name string, delay Time, body func(*Thread), stream int
 	}
 	th.id, th.name, th.body = e.nextTID, name, body
 	th.state, th.where = threadRunnable, ""
-	th.stream = stream
 	e.liveThreads++
 	e.allThreads[th] = struct{}{}
 	e.scheduleWake(e.now+delay, th)

@@ -130,41 +130,6 @@ func NewCollector() *Collector {
 	return &Collector{Messages: make(map[string]uint64)}
 }
 
-// AddFrom merges another collector's measurements into s: cycle
-// categories, message counts, operations, latency distribution, and the
-// named counters all add. The merge is commutative, which is what lets
-// a sharded run keep one collector per lane and fold them into the
-// serial collector's totals afterwards. Window marks (MarkWindow state)
-// are not merged — windowed rates over merged collectors must be
-// computed from summed snapshots, as the clustered experiment runners
-// do at their barriers.
-func (s *Collector) AddFrom(o *Collector) {
-	for c := range s.cycles {
-		s.cycles[c] += o.cycles[c]
-	}
-	for k, v := range o.Messages {
-		s.Messages[k] += v
-	}
-	s.WordsSent += o.WordsSent
-	s.Ops += o.Ops
-	s.OpLatency += o.OpLatency
-	s.Latency.AddFrom(&o.Latency)
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.Invalidations += o.Invalidations
-	s.ProtocolMsgs += o.ProtocolMsgs
-	s.LimitlessTraps += o.LimitlessTraps
-	s.Prefetches += o.Prefetches
-	s.PrefetchJoins += o.PrefetchJoins
-	s.ReplicaReads += o.ReplicaReads
-	s.ReplicaWrites += o.ReplicaWrites
-	s.MigrationsSent += o.MigrationsSent
-	s.MigrationsLocal += o.MigrationsLocal
-	s.Forwards += o.Forwards
-	s.RPCCalls += o.RPCCalls
-	s.ShortCalls += o.ShortCalls
-}
-
 // AddCycles charges n cycles to category c.
 func (s *Collector) AddCycles(c Category, n uint64) { s.cycles[c] += n }
 
