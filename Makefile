@@ -49,13 +49,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# ab-identity re-runs just the fast-path A/B contracts by name so a CI
-# log shows them explicitly: every rendered table and every simulated
-# metric must be identical with the inline fast paths on and off.
+# ab-identity re-runs the A/B identity contracts by name so a CI log
+# shows them explicitly: every rendered table and every simulated metric
+# must be identical with the inline fast paths on and off, under a
+# static policy and the matching scheme (suite-wide and per app), and
+# under a zero fault plan and none.
 ab-identity:
 	$(GO) test ./internal/harness/ -run TestFastPathABIdentity -count=1
 	$(GO) test ./internal/mem/ -run TestFastPathCollectorIdentity -count=1
 	$(GO) test ./internal/harness/ -run TestPolicyStaticABIdentity -count=1
+	$(GO) test ./internal/apps/countnet/ ./internal/apps/btree/ -run TestPolicyStaticIdentity -count=1
 	$(GO) test ./internal/harness/ -run TestFaultZeroSpecIsByteIdentical -count=1
 	@echo "ab-identity: fast paths, static policies, and zero fault plans are observationally equivalent"
 

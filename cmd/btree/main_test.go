@@ -25,7 +25,7 @@ var smallRun = []string{"-keys", "1000", "-threads", "4", "-warmup", "5000", "-m
 // TestDriverExitCodes audits the exit-code contract: 0 = clean run,
 // 1 = runtime failure (invariant violation, unwritable output), 2 = bad
 // flags. Each row runs the built binary and checks both the code and a
-// few output substrings.
+// few output substrings, and that no row ends in a panic trace.
 func TestDriverExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the driver")
@@ -50,6 +50,10 @@ func TestDriverExitCodes(t *testing.T) {
 		{"bad scheme", []string{"-scheme", "xyz"}, 2, nil},
 		{"bad faults", []string{"-faults", "ckpt=oops"}, 2, []string{"btree:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"btree:"}},
+		{"crash window off the machine", []string{"-faults", "crash=p999@100+100"}, 2,
+			[]string{"btree: fault window targets proc 999"}},
+		{"wipe window off the machine", []string{"-faults", "wipe=p99@100+100"}, 2,
+			[]string{"btree: fault window targets proc 99"}},
 		{"policy-stats without policy", []string{"-policy-stats", "x.json"}, 2, []string{"-policy"}},
 		{"unwritable policy-stats", append([]string{"-policy", "costmodel", "-policy-stats", "/nonexistent-dir/x.json"}, smallRun...), 1,
 			[]string{"writing policy stats"}},
@@ -67,6 +71,9 @@ func TestDriverExitCodes(t *testing.T) {
 			}
 			if code != tc.exit {
 				t.Fatalf("exit %d, want %d\n%s", code, tc.exit, out)
+			}
+			if strings.Contains(string(out), "goroutine ") {
+				t.Fatalf("driver panicked instead of reporting the error\n%s", out)
 			}
 			for _, w := range tc.want {
 				if !strings.Contains(string(out), w) {

@@ -25,7 +25,7 @@ var smallLoad = []string{"-workload", "keys=64,ops=300,period=150"}
 // TestDriverExitCodes audits the exit-code contract: 0 = clean run,
 // 1 = runtime failure (invariant violation, unwritable output), 2 = bad
 // flags. Each row runs the built binary and checks both the code and a
-// few output substrings.
+// few output substrings, and that no row ends in a panic trace.
 func TestDriverExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the driver")
@@ -48,6 +48,10 @@ func TestDriverExitCodes(t *testing.T) {
 		{"om unsupported", []string{"-scheme", "om"}, 2, []string{"object migration"}},
 		{"bad faults", []string{"-faults", "wipe=oops"}, 2, []string{"kv:"}},
 		{"bad policy", []string{"-policy", "nope"}, 2, []string{"kv:"}},
+		{"crash window off the machine", []string{"-faults", "crash=p999@100+100"}, 2,
+			[]string{"kv: fault window targets proc 999"}},
+		{"wipe window off the machine", []string{"-faults", "wipe=p99@100+100"}, 2,
+			[]string{"kv: fault window targets proc 99"}},
 		{"policy-stats without policy", []string{"-policy-stats", "x.json"}, 2, []string{"-policy"}},
 		{"nonpositive store", []string{"-store", "0"}, 2, []string{"positive"}},
 		{"too many processors", []string{"-store", "5000"}, 2, []string{"4096 processors"}},
@@ -67,6 +71,9 @@ func TestDriverExitCodes(t *testing.T) {
 			}
 			if code != tc.exit {
 				t.Fatalf("exit %d, want %d\n%s", code, tc.exit, out)
+			}
+			if strings.Contains(string(out), "goroutine ") {
+				t.Fatalf("driver panicked instead of reporting the error\n%s", out)
 			}
 			for _, w := range tc.want {
 				if !strings.Contains(string(out), w) {

@@ -15,8 +15,8 @@ import (
 	"compmig/internal/advisor"
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -107,13 +107,9 @@ type env struct {
 }
 
 func build() *env {
-	eng := sim.NewEngine(2)
-	mach := sim.NewMachine(eng, len(accesses)+1)
-	col := stats.NewCollector()
-	model := core.Scheme{Mechanism: core.Migrate}.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	e := &env{eng: eng, col: col, rt: rt}
+	m := machine.MustNew(machine.Config{Procs: len(accesses) + 1, Seed: 2, Scheme: core.Scheme{Mechanism: core.Migrate}})
+	rt := m.RT
+	e := &env{eng: m.Eng, col: m.Col, rt: rt}
 	for i := range accesses {
 		e.items = append(e.items, rt.Objects.New(i+1, &item{}))
 	}

@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"compmig/internal/machine"
 	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
@@ -84,10 +85,10 @@ func dft(in []complex128) []complex128 {
 // exchanging the matrix under the chosen mechanism, and returns the
 // result in natural order plus the simulation's cost readings.
 func transposeFFT(input []complex128, mechanism string) ([]complex128, sim.Time, uint64, uint64) {
-	eng := sim.NewEngine(1)
-	mach := sim.NewMachine(eng, p)
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, 17, 0)
+	// The transpose rides the bare interconnect (17-cycle transit);
+	// the runtime the builder also provides goes unused.
+	m := machine.MustNew(machine.Config{Procs: p, Seed: 1})
+	eng, mach, col, net := m.Eng, m.Mach, m.Col, m.Net
 
 	// cols[j] lives on processor j: column j of the p×p matrix, x[i*p+j].
 	cols := make([][]complex128, p)

@@ -18,8 +18,8 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -90,13 +90,9 @@ type env struct {
 }
 
 func build() *env {
-	eng := sim.NewEngine(4)
-	mach := sim.NewMachine(eng, 2)
-	col := stats.NewCollector()
-	model := core.Scheme{Mechanism: core.Migrate}.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	e := &env{eng: eng, col: col, rt: rt}
+	m := machine.MustNew(machine.Config{Procs: 2, Seed: 4, Scheme: core.Scheme{Mechanism: core.Migrate}})
+	rt := m.RT
+	e := &env{eng: m.Eng, col: m.Col, rt: rt}
 	e.tbl = rt.Objects.New(1, &table{rows: 1000})
 	e.mProbe = rt.RegisterMethod("frames.probe", true,
 		func(t *core.Task, self any, _ *msg.Reader, reply *msg.Writer) {

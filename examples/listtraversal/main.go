@@ -11,9 +11,9 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/mem"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -99,16 +99,11 @@ type world struct {
 }
 
 func build(scheme core.Scheme) *world {
-	eng := sim.NewEngine(7)
-	mach := sim.NewMachine(eng, nprocs+1) // +1 for the traversing thread
-	col := stats.NewCollector()
-	model := scheme.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	w := &world{eng: eng, col: col, rt: rt}
-	if scheme.Mechanism == core.SharedMem {
-		w.shm = mem.New(eng, mach, net, col, mem.DefaultParams())
-	}
+	// One more processor than list nodes: the traversing thread's. The
+	// builder adds the shared-memory substrate for the SM scheme.
+	m := machine.MustNew(machine.Config{Procs: nprocs + 1, Seed: 7, Scheme: scheme})
+	rt := m.RT
+	w := &world{eng: m.Eng, col: m.Col, rt: rt, shm: m.Mem}
 
 	// Lay the list out round-robin across the processors — worst-case
 	// locality, like a structure built by many different threads.

@@ -10,10 +10,9 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 )
 
 // account is our object: a balance that can be read and added to.
@@ -70,16 +69,12 @@ func (c *auditCont) Run(t *core.Task) {
 }
 
 func run(useMigration bool) (balance uint64, cycles sim.Time, messages, words uint64) {
-	eng := sim.NewEngine(1)
-	mach := sim.NewMachine(eng, 4)
-	col := stats.NewCollector()
 	scheme := core.Scheme{Mechanism: core.RPC}
 	if useMigration {
 		scheme.Mechanism = core.Migrate
 	}
-	model := scheme.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
+	m := machine.MustNew(machine.Config{Procs: 4, Seed: 1, Scheme: scheme})
+	eng, col, rt := m.Eng, m.Col, m.RT
 
 	// The account lives on processor 3; our thread runs on processor 0.
 	acct := rt.Objects.New(3, &account{balance: 100})

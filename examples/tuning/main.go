@@ -13,8 +13,8 @@ import (
 
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -138,13 +138,10 @@ func (w *world) touch(t *core.Task, g gid.GID, m core.MethodID) uint64 {
 }
 
 func build() *world {
-	eng := sim.NewEngine(11)
-	mach := sim.NewMachine(eng, 3) // thread on 0, A on 1, B on 2
-	col := stats.NewCollector()
-	model := core.Scheme{Mechanism: core.Migrate}.Model()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, model)
-	w := &world{eng: eng, col: col, rt: rt}
+	// Thread on 0, A on 1, B on 2.
+	m := machine.MustNew(machine.Config{Procs: 3, Seed: 11, Scheme: core.Scheme{Mechanism: core.Migrate}})
+	rt := m.RT
+	w := &world{eng: m.Eng, col: m.Col, rt: rt}
 	w.a = rt.Objects.New(1, &record{})
 	w.b = rt.Objects.New(2, &record{})
 	w.mTouchA = rt.RegisterMethod("tuning.touchA", true,

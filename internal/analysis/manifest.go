@@ -65,6 +65,9 @@ var simChargedPaths = []string{
 	// event-heap ordered like the rest of the runtime.
 	"compmig/internal/store",
 	"compmig/internal/apps/...",
+	// The machine builder creates each run's engine and schedules the
+	// store's recovery at every wipe window.
+	"compmig/internal/machine",
 	// The workload generator's event stream is part of the simulation's
 	// deterministic input: its draws must come from forked sim.PRNG
 	// streams only.

@@ -79,6 +79,9 @@ func (tr *Tree) logNode(t *core.Task, nd *node) {
 // ApplyRecord / WipeProc instead.
 func (tr *Tree) EnableDurability(w *store.Store) {
 	tr.wal = w
+	if tr.repl != nil {
+		tr.repl.SetJournal(w)
+	}
 	tr.SeedImages(w)
 	w.OnApply(tr.ApplyRecord)
 	w.OnSnapshot(tr.SnapshotBlob)

@@ -1,19 +1,17 @@
 package btree
 
 import (
-	"fmt"
 	"slices"
 	"sync" //simvet:allow host-side workload memoization (GenKeys cache) shared across harness workers; keys are a pure function of the PRNG state
 
 	"compmig/internal/core"
 	"compmig/internal/cost"
 	"compmig/internal/fault"
+	"compmig/internal/machine"
 	"compmig/internal/mem"
-	"compmig/internal/network"
 	"compmig/internal/policy"
 	"compmig/internal/repl"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 	"compmig/internal/store"
 )
 
@@ -140,62 +138,26 @@ type Result struct {
 	Recovery *store.Counters
 }
 
+// Machine returns the machine a run of c needs: the node processors
+// first, then one processor per requester.
+func (c Config) Machine() machine.Config {
+	c = c.WithDefaults()
+	return machine.Config{
+		Procs: c.NodeProcs + c.Threads, Seed: c.Seed,
+		Scheme: c.Scheme, Model: c.Model, Mesh: c.Mesh, MemParams: c.MemParams,
+		Policy: c.Policy, Faults: c.Faults, Durable: c.Durable,
+		DropNthAppend: c.DropNthAppend, DropNthReplay: c.DropNthReplay,
+		TraceCap: c.TraceCap, MaxEvents: c.MaxEvents,
+	}
+}
+
 // RunExperiment builds a fresh machine and tree, runs the mixed
 // lookup/insert workload, and reports windowed throughput and bandwidth.
 func RunExperiment(cfg Config) Result {
 	cfg = cfg.WithDefaults()
-	eng := sim.NewEngine(cfg.Seed)
-	eng.MaxEvents = cfg.MaxEvents
-	var tracer *sim.Tracer
-	if cfg.TraceCap > 0 {
-		tracer = eng.EnableTrace(cfg.TraceCap)
-	}
-	model := cfg.Scheme.Model()
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
-
-	mach := sim.NewMachine(eng, cfg.NodeProcs+cfg.Threads)
-	col := stats.NewCollector()
-	topo := network.Topology(network.Crossbar{})
-	perHop := model.NetTransitPerHop
-	if cfg.Mesh {
-		w := 1
-		for w*w < mach.N() {
-			w++
-		}
-		topo = network.NewMesh(w, (mach.N()+w-1)/w)
-		if perHop == 0 {
-			perHop = 2
-		}
-	}
-	net := network.New(eng, topo, col, model.NetTransitBase, perHop)
-	var inj *fault.Injector
-	if cfg.Faults.Enabled() {
-		inj = fault.NewInjector(cfg.Faults)
-		net.AttachFaults(inj)
-		for _, w := range inj.Windows() {
-			if w.Proc < 0 || w.Proc >= mach.N() {
-				panic(fmt.Sprintf("btree: fault window targets proc %d, machine has [0,%d)", w.Proc, mach.N()))
-			}
-			mach.Proc(w.Proc).AddDownWindow(w.Start, w.End())
-		}
-	}
-	rt := core.New(eng, mach, net, col, model)
-
-	mp := mem.DefaultParams()
-	if cfg.MemParams != nil {
-		mp = *cfg.MemParams
-	}
-	var shm *mem.System
-	if cfg.Scheme.Mechanism == core.SharedMem || cfg.Policy != "" {
-		// Policy runs always get a substrate: an adaptive decision may
-		// route any operation through shared memory. Building it is
-		// host-side only, so static:<mech> runs stay byte-identical to
-		// their scheme-based counterparts.
-		shm = mem.New(eng, mach, net, col, mp)
-	}
-	defer shm.Release()
+	m := machine.MustNew(cfg.Machine())
+	defer m.Release()
+	eng, col, rt := m.Eng, m.Col, m.RT
 	var tbl *repl.Table
 	if cfg.Scheme.Replication {
 		tbl = repl.NewTable(rt)
@@ -203,49 +165,16 @@ func RunExperiment(cfg Config) Result {
 
 	keyRNG := eng.Rand().Fork()
 	initialKeys := GenKeys(keyRNG, cfg.InitialKeys, cfg.KeySpace)
-	tr := Build(rt, shm, tbl, cfg.Scheme, cfg.Params, initialKeys)
+	tr := Build(rt, m.Mem, tbl, cfg.Scheme, cfg.Params, initialKeys)
 	tr.SMPrefetch = cfg.SMPrefetch
+	m.Attach(tr)
 
 	// inserted tracks keys the workload successfully added, for the
 	// post-run key-set integrity check. Allocated only under faults or
 	// durability so the plain path stays untouched.
 	var inserted map[uint64]struct{}
-	if inj != nil || cfg.Durable {
+	if m.Inj != nil || cfg.Durable {
 		inserted = make(map[uint64]struct{})
-	}
-
-	// Durability wiring comes after Build so the bulk-loaded tree seeds
-	// the checkpoints for free instead of charging simulated append time
-	// for pre-run population.
-	var st *store.Store
-	if cfg.Durable || cfg.Faults.HasWipe() {
-		st = store.New(mach, col, cost.DefaultDurability(), cfg.Faults.CkptInterval(), rt.Objects.Home)
-		tr.EnableDurability(st)
-		rt.Objects.SetJournal(st)
-		if tbl != nil {
-			tbl.SetJournal(st)
-		}
-		if cfg.DropNthAppend > 0 {
-			st.ScriptDropAppend(cfg.DropNthAppend)
-		}
-		if cfg.DropNthReplay > 0 {
-			st.ScriptDropReplay(cfg.DropNthReplay)
-		}
-		if inj != nil {
-			st.ScheduleRecovery(eng, inj.Windows())
-		}
-	}
-
-	var pol *policy.Engine
-	if cfg.Policy != "" {
-		var err error
-		pol, err = policy.New(cfg.Policy, model, mp, eng, col, mach.N(), cfg.Seed)
-		if err != nil {
-			panic("btree: " + err.Error())
-		}
-		pol.AttachMem(shm)
-		rt.Obs = pol
-		tr.AttachPolicy(pol)
 	}
 
 	stop := cfg.Warmup + cfg.Measure
@@ -297,37 +226,18 @@ func RunExperiment(cfg Config) Result {
 	res.RootChildren = tr.RootChildren()
 	res.Height = tr.Height()
 	res.P95Latency = col.Latency.Quantile(0.95)
-	res.RootUtilization = mach.Proc(tr.Root().Home()).Utilization()
-	res.Trace = tracer
+	res.RootUtilization = m.Mach.Proc(tr.Root().Home()).Utilization()
+	res.Trace = m.Trace
 	res.ObjectMoves = rt.Objects.Moves
 	res.Forwards = col.Forwards
-	if pol != nil {
-		res.Policy = pol.Name()
-		ld, id := tr.polLookup.Decisions(), tr.polInsert.Decisions()
-		for m := range res.Decisions {
-			res.Decisions[m] = ld[m] + id[m]
-		}
-		st := pol.Stats()
-		res.PolicyStats = &st
-	}
-	if inj != nil {
-		c := inj.Counters
-		res.Fault = &c
-		inj.FlushProfile()
+	rep := m.Report()
+	res.Policy, res.Decisions, res.PolicyStats = rep.Policy, rep.Decisions, rep.PolicyStats
+	res.Fault, res.Recovery = rep.Fault, rep.Recovery
+	// Durable fault-free runs verify too: the WAL path must not perturb
+	// tree contents.
+	if m.Inj != nil || m.WAL != nil {
 		if err := tr.VerifyKeySet(initialKeys, inserted); err != nil {
 			res.InvariantErr = err.Error()
-		}
-	}
-	if st != nil {
-		c := st.Counters
-		res.Recovery = &c
-		st.FlushProfile()
-		if inj == nil && res.InvariantErr == "" {
-			// Durable fault-free runs still verify: the WAL path must not
-			// perturb tree contents.
-			if err := tr.VerifyKeySet(initialKeys, inserted); err != nil {
-				res.InvariantErr = err.Error()
-			}
 		}
 	}
 	return res

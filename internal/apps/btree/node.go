@@ -33,6 +33,10 @@ type node struct {
 	// kidsAreLeaves lets a descent step tell its caller whether the next
 	// hop is a leaf; splits never change a node's level, so it is stable.
 	kidsAreLeaves bool
+	// level is the node's height above the leaves (0 = leaf). Like g it
+	// is allocation metadata: fixed at creation, kept across wipes, and
+	// not part of the logged image.
+	level int
 
 	// g is the node's own GID, set at allocation, so code holding only
 	// the state pointer (RPC handler bodies, the durability layer) can
@@ -114,21 +118,30 @@ func (nd *node) leafInsert(key uint64) bool {
 }
 
 // insertChild installs a freshly split sibling into an interior node:
-// the child whose bound was oldBound now ends at newSep, and newChild
-// covers (newSep, oldBound]. The caller must hold the node lock.
-// It reports false when oldBound is not found (the entry moved right
-// under a concurrent split; the caller retries laterally).
-func (nd *node) insertChild(oldBound, newSep uint64, newChild gid.GID) bool {
-	i := sort.Search(len(nd.keys), func(j int) bool { return nd.keys[j] >= oldBound })
-	if i >= len(nd.keys) || nd.keys[i] != oldBound {
+// the entry covering sep now ends at sep, and newChild takes over that
+// entry's old bound. The covering entry is normally the split node with
+// bound oldBound; when an earlier split of the same node has not been
+// posted yet, its bound is larger and newChild reaches the unposted
+// sibling through its right link until that split posts in turn. An
+// entry already ending at sep means a root growth recorded the split
+// first, and the node is left alone. The caller must hold the node
+// lock. It reports false when sep lies beyond the node's range (the
+// caller retries laterally).
+func (nd *node) insertChild(sep uint64, newChild gid.GID) bool {
+	i := sort.Search(len(nd.keys), func(j int) bool { return nd.keys[j] >= sep })
+	if i >= len(nd.keys) {
 		return false
 	}
-	nd.keys[i] = newSep
+	if nd.keys[i] == sep {
+		return true
+	}
+	bound := nd.keys[i]
+	nd.keys[i] = sep
 	nd.keys = append(nd.keys, 0)
 	nd.children = append(nd.children, gid.Nil)
 	copy(nd.keys[i+2:], nd.keys[i+1:])
 	copy(nd.children[i+2:], nd.children[i+1:])
-	nd.keys[i+1] = oldBound
+	nd.keys[i+1] = bound
 	nd.children[i+1] = newChild
 	return true
 }
@@ -151,6 +164,7 @@ func (nd *node) split() (*node, splitInfo) {
 		keys:          append([]uint64{}, nd.keys[mid:]...),
 		high:          nd.high,
 		kidsAreLeaves: nd.kidsAreLeaves,
+		level:         nd.level,
 	}
 	if !nd.leaf {
 		r.children = append([]gid.GID{}, nd.children[mid:]...)

@@ -61,7 +61,7 @@ func (tr *Tree) insertOM(t *core.Task, key uint64) bool {
 	cur := tr.root
 	var path []gid.GID
 	phase := phaseDescend
-	var oldBound, sep uint64
+	var sep uint64
 	var newChild gid.GID
 	inserted := false
 
@@ -72,19 +72,19 @@ func (tr *Tree) insertOM(t *core.Task, key uint64) bool {
 		nd := tr.pullNode(t, cur)
 
 		if phase == phaseUp {
-			if oldBound > nd.high {
+			if sep > nd.high {
 				cur = nd.right
 				continue
 			}
 			t.Work(tr.LockCycles)
 			nd.lock.Lock(t.Thread())
-			if oldBound > nd.high {
+			if sep > nd.high {
 				nd.lock.Unlock(t.Thread())
 				cur = nd.right
 				continue
 			}
 			t.Work(searchCycles(len(nd.keys)) + tr.InsertCycles)
-			if !nd.insertChild(oldBound, sep, newChild) {
+			if !nd.insertChild(sep, newChild) {
 				nd.lock.Unlock(t.Thread())
 				cur = nd.right
 				continue
@@ -96,16 +96,15 @@ func (tr *Tree) insertOM(t *core.Task, key uint64) bool {
 			}
 			_, info := tr.splitLocked(t, nd)
 			nd.lock.Unlock(t.Thread())
-			oldBound, sep, newChild = info.OldBound, info.Sep, info.NewNode
+			sep, newChild = info.Sep, info.NewNode
 			if len(path) > 0 {
 				cur = path[len(path)-1]
 				path = path[:len(path)-1]
 				continue
 			}
-			if tr.growRoot(t, cur, info, info.NewNode) {
+			if cur = tr.growRoot(t, cur, sep); cur.IsNil() {
 				return inserted
 			}
-			cur = tr.root
 			continue
 		}
 
@@ -141,16 +140,15 @@ func (tr *Tree) insertOM(t *core.Task, key uint64) bool {
 		}
 		_, info := tr.splitLocked(t, nd)
 		nd.lock.Unlock(t.Thread())
-		oldBound, sep, newChild = info.OldBound, info.Sep, info.NewNode
+		sep, newChild = info.Sep, info.NewNode
 		phase = phaseUp
 		if len(path) > 0 {
 			cur = path[len(path)-1]
 			path = path[:len(path)-1]
 			continue
 		}
-		if tr.growRoot(t, cur, info, info.NewNode) {
+		if cur = tr.growRoot(t, cur, sep); cur.IsNil() {
 			return inserted
 		}
-		cur = tr.root
 	}
 }

@@ -124,10 +124,8 @@ func (tr *Tree) insertSM(t *core.Task, key uint64) bool {
 			path = path[:len(path)-1]
 			return false, next
 		}
-		if tr.growRoot(t, cur, info, info.NewNode) {
-			return true, gid.Nil
-		}
-		return false, tr.root
+		next := tr.growRoot(t, cur, info.Sep)
+		return next.IsNil(), next
 	}
 
 	for hops := 0; ; hops++ {
@@ -138,12 +136,12 @@ func (tr *Tree) insertSM(t *core.Task, key uint64) bool {
 		tr.shm.Read(th, proc, nd.addrHeader, 16)
 
 		if phase == phaseUp {
-			if oldBound > nd.high {
+			if sep > nd.high {
 				cur = nd.right
 				continue
 			}
 			tr.lockSM(t, nd)
-			if oldBound > nd.high {
+			if sep > nd.high {
 				tr.unlockSM(t, nd)
 				cur = nd.right
 				continue
@@ -153,7 +151,7 @@ func (tr *Tree) insertSM(t *core.Task, key uint64) bool {
 			tr.chargeProbeReads(t, nd, touched)
 			tr.shm.Write(th, proc, keyLineAddr(nd, i), 16)
 			tr.shm.Write(th, proc, nd.addrKids+mem.Addr(i*8), 16)
-			if !nd.insertChild(oldBound, sep, newChild) {
+			if !nd.insertChild(sep, newChild) {
 				tr.unlockSM(t, nd)
 				cur = nd.right
 				continue

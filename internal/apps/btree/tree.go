@@ -179,7 +179,7 @@ func (tr *Tree) bulkLoad(keys []uint64) {
 			if end > len(level) {
 				end = len(level)
 			}
-			nd := &node{kidsAreLeaves: childrenAreLeaves}
+			nd := &node{kidsAreLeaves: childrenAreLeaves, level: tr.height}
 			for _, ch := range level[i:end] {
 				nd.keys = append(nd.keys, ch.high)
 				nd.children = append(nd.children, ch.g)
@@ -228,43 +228,58 @@ func (tr *Tree) republishRoot(t *core.Task) {
 // content is read locally — the whole point of the "w/repl." schemes —
 // so the descent proper starts at the second level.
 func (tr *Tree) start(t *core.Task, key uint64) (cur gid.GID, path []gid.GID, isLeaf bool) {
-	if tr.repl != nil && tr.repl.IsReplicated(tr.root) {
-		snap := tr.repl.Read(t, tr.root).(*node)
+	if root := tr.root; tr.repl != nil && tr.repl.IsReplicated(root) {
+		// The snapshot read may yield while the tree grows, so the path
+		// records the root the snapshot came from, not the current one.
+		snap := tr.repl.Read(t, root).(*node)
 		if !snap.leaf {
 			t.Work(searchCycles(len(snap.keys)))
 			next, lateral, _ := snap.route(key)
 			if !lateral {
-				return next, []gid.GID{tr.root}, snap.kidsAreLeaves
+				return next, []gid.GID{root}, snap.kidsAreLeaves
 			}
 		}
 	}
 	return tr.root, nil, tr.rt.Objects.State(tr.root).(*node).leaf
 }
 
-// growRoot replaces the root after a root split. It returns true when
-// this call installed the new root; false means another writer already
-// grew the tree and the caller must retry its insertUp against the new
-// root.
-func (tr *Tree) growRoot(t *core.Task, oldRoot gid.GID, info splitInfo, newChild gid.GID) bool {
+// growRoot finishes a split of a node the writer reached with no
+// ancestor left on its path. While the split node's level is still the
+// top of the tree, it installs a new root over that whole level (the
+// split node, its new sibling, and any top-level sibling whose own root
+// split is still in flight) and returns gid.Nil. Once the tree has grown
+// past that level it returns the node one level up whose range covers
+// sep, where the caller resumes its upward pass; that node is found by a
+// host-level descent, as reading the root pointer is.
+func (tr *Tree) growRoot(t *core.Task, split gid.GID, sep uint64) gid.GID {
 	tr.rootLock.Lock(t.Thread())
 	defer tr.rootLock.Unlock(t.Thread())
-	if tr.root != oldRoot {
-		return false
+	lv := tr.rt.Objects.State(split).(*node).level
+	if old := tr.rt.Objects.State(tr.root).(*node); old.level > lv {
+		g := tr.root
+		for nd := old; nd.level > lv+1; nd = tr.rt.Objects.State(g).(*node) {
+			g, _, _ = nd.route(sep)
+		}
+		return g
 	}
 	t.Work(tr.AllocCycles + tr.InsertCycles)
-	nr := &node{
-		keys:          []uint64{info.Sep, info.OldBound},
-		children:      []gid.GID{oldRoot, newChild},
-		high:          info.OldBound,
-		kidsAreLeaves: tr.rt.Objects.State(oldRoot).(*node).leaf,
+	oldRoot := tr.rt.Objects.State(tr.root).(*node)
+	nr := &node{kidsAreLeaves: oldRoot.leaf, level: oldRoot.level + 1}
+	for g := tr.root; !g.IsNil(); {
+		nd := tr.rt.Objects.State(g).(*node)
+		nr.keys = append(nr.keys, nd.high)
+		nr.children = append(nr.children, g)
+		g = nd.right
 	}
+	nr.high = nr.keys[len(nr.keys)-1]
 	g := tr.newNode(nr)
 	tr.logNode(t, nr)
-	if tr.repl != nil && tr.repl.IsReplicated(oldRoot) {
+	if tr.repl != nil && tr.repl.IsReplicated(tr.root) {
 		// Replicate the new root before exposing it so no reader ever
 		// sees an unreplicated root. (Replicate is host-level: no yield.)
 		clone := &node{keys: append([]uint64{}, nr.keys...),
-			children: append([]gid.GID{}, nr.children...), high: nr.high}
+			children: append([]gid.GID{}, nr.children...), high: nr.high,
+			kidsAreLeaves: nr.kidsAreLeaves}
 		tr.repl.Replicate(g, clone, uint64(4*len(nr.keys))+6)
 	}
 	tr.root = g
@@ -272,7 +287,7 @@ func (tr *Tree) growRoot(t *core.Task, oldRoot gid.GID, info splitInfo, newChild
 	if tr.repl != nil {
 		tr.republishRoot(t) // broadcast the new-root announcement
 	}
-	return true
+	return gid.Nil
 }
 
 // splitLocked splits nd (lock held), allocates the sibling, and links it.

@@ -14,6 +14,9 @@ func (tr *Tree) checkNode(g gid.GID, low, high uint64, depth int) error {
 	if nd.high != high {
 		return fmt.Errorf("node %#x: high=%d, parent bound %d", uint64(g), nd.high, high)
 	}
+	if nd.level != depth-1 {
+		return fmt.Errorf("node %#x: level %d at depth %d levels above bottom", uint64(g), nd.level, depth)
+	}
 	if len(nd.keys) == 0 {
 		if nd.leaf {
 			return nil // empty leaf: legal after lazy deletes (or empty tree)

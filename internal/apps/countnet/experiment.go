@@ -1,16 +1,13 @@
 package countnet
 
 import (
-	"fmt"
-
 	"compmig/internal/core"
 	"compmig/internal/cost"
 	"compmig/internal/fault"
+	"compmig/internal/machine"
 	"compmig/internal/mem"
-	"compmig/internal/network"
 	"compmig/internal/policy"
 	"compmig/internal/sim"
-	"compmig/internal/stats"
 	"compmig/internal/store"
 )
 
@@ -124,86 +121,31 @@ type Result struct {
 	InvariantErr string
 }
 
+// Machine returns the machine a run of c needs: the balancer
+// processors first, then one processor per group of ThreadsPerProc
+// requesters.
+func (c Config) Machine() machine.Config {
+	c = c.WithDefaults()
+	return machine.Config{
+		Procs: Balancers(c.Width) + (c.Threads+c.ThreadsPerProc-1)/c.ThreadsPerProc,
+		Seed:  c.Seed, Scheme: c.Scheme, Model: c.Model, Mesh: c.Mesh, MemParams: c.MemParams,
+		Policy: c.Policy, Faults: c.Faults, Durable: c.Durable,
+		DropNthAppend: c.DropNthAppend, DropNthReplay: c.DropNthReplay,
+		TraceCap: c.TraceCap, MaxEvents: c.MaxEvents,
+	}
+}
+
 // RunExperiment builds a fresh machine, runs the workload, and reports
 // windowed throughput and bandwidth.
 func RunExperiment(cfg Config) Result {
 	cfg = cfg.WithDefaults()
-	eng := sim.NewEngine(cfg.Seed)
-	eng.MaxEvents = cfg.MaxEvents
-	var tracer *sim.Tracer
-	if cfg.TraceCap > 0 {
-		tracer = eng.EnableTrace(cfg.TraceCap)
-	}
-	model := cfg.Scheme.Model()
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
+	m := machine.MustNew(cfg.Machine())
+	defer m.Release()
+	eng, col, rt := m.Eng, m.Col, m.RT
+	n := Build(rt, m.Mem, cfg.Scheme, cfg.Width)
+	m.Attach(n)
 
-	// Balancer processors first, then one processor per requester.
 	numBal := Balancers(cfg.Width)
-	reqProcs := (cfg.Threads + cfg.ThreadsPerProc - 1) / cfg.ThreadsPerProc
-	mach := sim.NewMachine(eng, numBal+reqProcs)
-	col := stats.NewCollector()
-	topo := topology(cfg.Mesh, mach.N())
-	perHop := model.NetTransitPerHop
-	if cfg.Mesh && perHop == 0 {
-		perHop = 2
-	}
-	net := network.New(eng, topo, col, model.NetTransitBase, perHop)
-	var inj *fault.Injector
-	if cfg.Faults.Enabled() {
-		inj = fault.NewInjector(cfg.Faults)
-		net.AttachFaults(inj)
-		installWindows(inj, mach)
-	}
-	rt := core.New(eng, mach, net, col, model)
-
-	mp := mem.DefaultParams()
-	if cfg.MemParams != nil {
-		mp = *cfg.MemParams
-	}
-	var shm *mem.System
-	if cfg.Scheme.Mechanism == core.SharedMem || cfg.Policy != "" {
-		// Policy runs always get a substrate: an adaptive decision may
-		// route any operation through shared memory. Building it is
-		// host-side only, so static:<mech> runs stay byte-identical to
-		// their scheme-based counterparts.
-		shm = mem.New(eng, mach, net, col, mp)
-	}
-	defer shm.Release()
-	n := Build(rt, shm, cfg.Scheme, cfg.Width)
-
-	// Durability wiring comes after Build so the built network seeds the
-	// checkpoints for free instead of charging simulated append time for
-	// initial state.
-	var wal *store.Store
-	if cfg.Durable || cfg.Faults.HasWipe() {
-		wal = store.New(mach, col, cost.DefaultDurability(), cfg.Faults.CkptInterval(), rt.Objects.Home)
-		n.EnableDurability(wal)
-		rt.Objects.SetJournal(wal)
-		if cfg.DropNthAppend > 0 {
-			wal.ScriptDropAppend(cfg.DropNthAppend)
-		}
-		if cfg.DropNthReplay > 0 {
-			wal.ScriptDropReplay(cfg.DropNthReplay)
-		}
-		if inj != nil {
-			wal.ScheduleRecovery(eng, inj.Windows())
-		}
-	}
-
-	var pol *policy.Engine
-	if cfg.Policy != "" {
-		var err error
-		pol, err = policy.New(cfg.Policy, model, mp, eng, col, mach.N(), cfg.Seed)
-		if err != nil {
-			panic("countnet: " + err.Error())
-		}
-		pol.AttachMem(shm)
-		rt.Obs = pol
-		n.AttachPolicy(pol)
-	}
-
 	stop := cfg.Warmup + cfg.Measure
 	rng := eng.Rand().Fork()
 	opsStarted := uint64(0)
@@ -247,58 +189,19 @@ func RunExperiment(cfg Config) Result {
 	entry := len(Bitonic(cfg.Width).Stages[0])
 	var u float64
 	for p := 0; p < entry; p++ {
-		u += mach.Proc(p).Utilization()
+		u += m.Mach.Proc(p).Utilization()
 	}
 	res.EntryUtilization = u / float64(entry)
-	res.Trace = tracer
+	res.Trace = m.Trace
 	res.ObjectMoves = rt.Objects.Moves
 	res.Forwards = col.Forwards
-	if pol != nil {
-		res.Policy = pol.Name()
-		res.Decisions = n.pol.Decisions()
-		st := pol.Stats()
-		res.PolicyStats = &st
-	}
-	if inj != nil {
-		c := inj.Counters
-		res.Fault = &c
-		inj.FlushProfile()
-	}
-	if wal != nil {
-		c := wal.Counters
-		res.Recovery = &c
-		wal.FlushProfile()
-	}
-	if inj != nil || wal != nil {
+	rep := m.Report()
+	res.Policy, res.Decisions, res.PolicyStats = rep.Policy, rep.Decisions, rep.PolicyStats
+	res.Fault, res.Recovery = rep.Fault, rep.Recovery
+	if m.Inj != nil || m.WAL != nil {
 		if err := n.CheckInvariants(opsStarted); err != nil {
 			res.InvariantErr = err.Error()
 		}
 	}
 	return res
-}
-
-// installWindows applies a fault plan's processor outage windows to the
-// machine: deliveries are handled by the network's reliability layer,
-// and local work segments stall through the processor's down windows.
-func installWindows(inj *fault.Injector, mach *sim.Machine) {
-	for _, w := range inj.Windows() {
-		if w.Proc < 0 || w.Proc >= mach.N() {
-			panic(fmt.Sprintf("countnet: fault window targets proc %d, machine has [0,%d)", w.Proc, mach.N()))
-		}
-		mach.Proc(w.Proc).AddDownWindow(w.Start, w.End())
-	}
-}
-
-// topology picks the interconnect: the paper's flat crossbar, or a
-// near-square 2D mesh for the topology ablation.
-func topology(mesh bool, nprocs int) network.Topology {
-	if !mesh {
-		return network.Crossbar{}
-	}
-	w := 1
-	for w*w < nprocs {
-		w++
-	}
-	h := (nprocs + w - 1) / w
-	return network.NewMesh(w, h)
 }

@@ -379,19 +379,3 @@ func (s *Store) AttachPolicy(e *policy.Engine) {
 		ChainLength:      chain,
 	})
 }
-
-// Decisions sums the per-mechanism decision counts across the store's
-// call sites (zero when no policy is attached).
-func (s *Store) Decisions() [4]uint64 {
-	var out [4]uint64
-	for _, site := range []*policy.Site{s.polGet, s.polPut, s.polScan} {
-		if site == nil {
-			continue
-		}
-		d := site.Decisions()
-		for i := range out {
-			out[i] += d[i]
-		}
-	}
-	return out
-}

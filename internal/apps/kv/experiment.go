@@ -8,8 +8,7 @@ import (
 	"compmig/internal/cost"
 	"compmig/internal/fault"
 	"compmig/internal/load"
-	"compmig/internal/mem"
-	"compmig/internal/network"
+	"compmig/internal/machine"
 	"compmig/internal/policy"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
@@ -117,88 +116,37 @@ type Result struct {
 	InvariantErr string
 }
 
+// Machine returns the machine a run of c needs: the storage
+// processors first, then the frontends.
+func (c Config) Machine() machine.Config {
+	c = c.WithDefaults()
+	return machine.Config{
+		Procs: c.StoreProcs + c.FrontProcs, Seed: c.Seed,
+		Scheme: c.Scheme, Hetero: c.Hetero,
+		Policy: c.Policy, Faults: c.Faults, Durable: c.Durable,
+		DropNthAppend: c.DropNthAppend, DropNthReplay: c.DropNthReplay,
+	}
+}
+
 // RunExperiment builds a fresh machine, replays the workload open-loop,
 // and reports throughput, tail latency, and the invariant verdict.
 func RunExperiment(cfg Config) Result {
 	cfg = cfg.WithDefaults()
-	eng := sim.NewEngine(cfg.Seed)
-	model := cfg.Scheme.Model()
-	mach := sim.NewMachine(eng, cfg.StoreProcs+cfg.FrontProcs)
-	if cfg.Hetero.Enabled() {
-		for i, f := range cfg.Hetero.Factors(mach.N()) {
-			mach.Proc(i).SetSpeed(sim.Time(f), cost.SpeedDen)
-		}
-	}
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, model.NetTransitBase, model.NetTransitPerHop)
-	var inj *fault.Injector
-	if cfg.Faults.Enabled() {
-		inj = fault.NewInjector(cfg.Faults)
-		net.AttachFaults(inj)
-		for _, w := range inj.Windows() {
-			if w.Proc < 0 || w.Proc >= mach.N() {
-				panic(fmt.Sprintf("kv: fault window targets proc %d, machine has [0,%d)", w.Proc, mach.N()))
-			}
-			mach.Proc(w.Proc).AddDownWindow(w.Start, w.End())
-		}
-	}
-	rt := core.New(eng, mach, net, col, model)
-
-	var shm *mem.System
-	if cfg.Scheme.Mechanism == core.SharedMem || cfg.Policy != "" {
-		shm = mem.New(eng, mach, net, col, mem.DefaultParams())
-	}
-	defer shm.Release()
+	m := machine.MustNew(cfg.Machine())
+	defer m.Release()
+	eng, col, rt := m.Eng, m.Col, m.RT
 
 	// The key population: distinct sorted values, a pure function of the
 	// seed (btree.GenKeys memoizes on the PRNG state).
 	nkeys := cfg.Load.NumKeys()
 	population := btree.GenKeys(eng.Rand().Fork(), int(nkeys), cfg.KeySpace)
-	st := Build(rt, shm, cfg.Scheme,
+	st := Build(rt, m.Mem, cfg.Scheme,
 		Params{StoreProcs: cfg.StoreProcs, Touches: cfg.Touches, IndexFanout: cfg.IndexFanout},
 		population)
 	if cfg.AccessCycles != 0 {
 		st.AccessCycles = cfg.AccessCycles
 	}
-
-	// Durability wiring comes after Build so the loaded index seeds the
-	// checkpoints for free instead of charging simulated append time for
-	// pre-run population.
-	var wal *store.Store
-	if cfg.Durable || cfg.Faults.HasWipe() {
-		wal = store.New(mach, col, cost.DefaultDurability(), cfg.Faults.CkptInterval(), rt.Objects.Home)
-		st.EnableDurability(wal)
-		rt.Objects.SetJournal(wal)
-		if cfg.DropNthAppend > 0 {
-			wal.ScriptDropAppend(cfg.DropNthAppend)
-		}
-		if cfg.DropNthReplay > 0 {
-			wal.ScriptDropReplay(cfg.DropNthReplay)
-		}
-		if inj != nil {
-			wal.ScheduleRecovery(eng, inj.Windows())
-		}
-	}
-
-	var pol *policy.Engine
-	if cfg.Policy != "" {
-		var err error
-		pol, err = policy.New(cfg.Policy, model, mem.DefaultParams(), eng, col, mach.N(), cfg.Seed)
-		if err != nil {
-			panic("kv: " + err.Error())
-		}
-		pol.AttachMem(shm)
-		if cfg.Hetero.Enabled() {
-			factors := cfg.Hetero.Factors(mach.N())
-			speeds := make([]float64, len(factors))
-			for i, f := range factors {
-				speeds[i] = float64(f) / float64(cost.SpeedDen)
-			}
-			pol.SetSpeeds(speeds)
-		}
-		rt.Obs = pol
-		st.AttachPolicy(pol)
-	}
+	m.Attach(st)
 
 	// Open loop: every arrival is scheduled before the run starts, so a
 	// slow server accumulates queueing delay instead of throttling the
@@ -261,23 +209,10 @@ func RunExperiment(cfg Config) Result {
 		res.WordsPerOp = float64(col.WordsSent) / float64(col.Ops)
 	}
 	res.HitRate = col.HitRate()
-	if pol != nil {
-		res.Policy = pol.Name()
-		res.Decisions = st.Decisions()
-		ps := pol.Stats()
-		res.PolicyStats = &ps
-	}
-	if inj != nil {
-		c := inj.Counters
-		res.Fault = &c
-		inj.FlushProfile()
-	}
-	if wal != nil {
-		c := wal.Counters
-		res.Recovery = &c
-		wal.FlushProfile()
-	}
-	res.InvariantErr = checkInvariants(st, issued, acked, monotonic, inj != nil)
+	rep := m.Report()
+	res.Policy, res.Decisions, res.PolicyStats = rep.Policy, rep.Decisions, rep.PolicyStats
+	res.Fault, res.Recovery = rep.Fault, rep.Recovery
+	res.InvariantErr = checkInvariants(st, issued, acked, monotonic, m.Inj != nil)
 	return res
 }
 

@@ -6,10 +6,10 @@ import (
 	"compmig/internal/apps/countnet"
 	"compmig/internal/core"
 	"compmig/internal/gid"
+	"compmig/internal/machine"
 	"compmig/internal/mem"
 	"compmig/internal/model"
 	"compmig/internal/msg"
-	"compmig/internal/network"
 	"compmig/internal/sim"
 	"compmig/internal/stats"
 )
@@ -120,12 +120,8 @@ type fig1Env struct {
 // fig1Messages runs the access pattern through the software runtime and
 // returns the number of messages sent.
 func fig1Messages(mech core.Mechanism, n, m int, seed uint64) uint64 {
-	eng := sim.NewEngine(seed)
-	mach := sim.NewMachine(eng, m+1)
-	col := stats.NewCollector()
-	md := core.Scheme{Mechanism: mech}.Model()
-	net := network.New(eng, network.Crossbar{}, col, md.NetTransitBase, md.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, md)
+	mc := machine.MustNew(machine.Config{Procs: m + 1, Seed: seed, Scheme: core.Scheme{Mechanism: mech}})
+	eng, col, rt := mc.Eng, mc.Col, mc.RT
 
 	env := &fig1Env{rt: rt}
 	env.mGet = rt.RegisterMethod("fig1.get", true,
@@ -179,12 +175,9 @@ func (r *fig1Reply) UnmarshalWords(rd *msg.Reader) error { r.v = rd.U32(); retur
 // shared-memory substrate: the first access to each datum moves its line
 // (request + data = two messages); the rest hit locally.
 func fig1DataMigration(n, m int, seed uint64) uint64 {
-	eng := sim.NewEngine(seed)
-	mach := sim.NewMachine(eng, m+1)
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, 17, 0)
-	shm := mem.New(eng, mach, net, col, mem.DefaultParams())
-	defer shm.Release()
+	mc := machine.MustNew(machine.Config{Procs: m + 1, Seed: seed, Scheme: core.Scheme{Mechanism: core.SharedMem}})
+	defer mc.Release()
+	eng, col, shm := mc.Eng, mc.Col, mc.Mem
 
 	var addrs []mem.Addr
 	for p := 1; p <= m; p++ {
@@ -208,13 +201,9 @@ func fig1DataMigration(n, m int, seed uint64) uint64 {
 // the collector's cycle categories are averaged over the migrations
 // performed.
 func table5Breakdown(seed uint64) []stats.BreakdownRow {
-	eng := sim.NewEngine(seed)
 	scheme := core.Scheme{Mechanism: core.Migrate}
-	md := scheme.Model()
-	mach := sim.NewMachine(eng, 25)
-	col := stats.NewCollector()
-	net := network.New(eng, network.Crossbar{}, col, md.NetTransitBase, md.NetTransitPerHop)
-	rt := core.New(eng, mach, net, col, md)
+	mc := machine.MustNew(machine.Config{Procs: 25, Seed: seed, Scheme: scheme})
+	eng, col, rt := mc.Eng, mc.Col, mc.RT
 	cn := countnet.Build(rt, nil, scheme, 8)
 
 	const requests = 200

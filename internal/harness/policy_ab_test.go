@@ -8,7 +8,6 @@ import (
 
 	"compmig/internal/apps/btree"
 	"compmig/internal/apps/countnet"
-	"compmig/internal/core"
 )
 
 // TestPolicyStaticABIdentity is the suite-level half of the policy
@@ -108,17 +107,5 @@ func TestCostModelTracksBestStatic(t *testing.T) {
 			})
 			check(t, label, st, r.Throughput)
 		})
-	}
-}
-
-// TestParseSchemeOM covers the object-migration spelling accepted by the
-// scheme parser used across the CLIs.
-func TestParseSchemeOM(t *testing.T) {
-	s, err := ParseScheme("om")
-	if err != nil {
-		t.Fatalf("ParseScheme(om): %v", err)
-	}
-	if s.Mechanism != core.ObjMigrate {
-		t.Fatalf("ParseScheme(om) = %v, want ObjMigrate", s.Mechanism)
 	}
 }

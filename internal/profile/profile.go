@@ -3,11 +3,14 @@
 // observable: how often each fast path fires, how much protocol work
 // still takes the event-driven slow path, and where host nanoseconds go.
 //
-// Counts are cheap and collected unconditionally — subsystems either
-// increment a process-wide atomic directly or batch per-run tallies and
-// flush them once (see internal/mem). Nanosecond timing is only recorded
-// while Enable(true) is in effect (the paperfigs -profile flag), because
-// calling time.Now around hot paths is itself a measurable cost.
+// Most counts are cheap and collected unconditionally — subsystems
+// either increment a process-wide atomic directly or batch per-run
+// tallies and flush them once (see internal/mem). Nanosecond timing is
+// only recorded while Enable(true) is in effect (the paperfigs -profile
+// flag), because calling time.Now around hot paths is itself a
+// measurable cost. Two sections are timing-gated as a whole, counts
+// included: net.sends (NetSends) and engine.heap_pushes (HeapOps) sit on
+// the hottest paths, so they record nothing unless timing is enabled.
 package profile
 
 import (
